@@ -32,6 +32,82 @@ CoopetitionGame::CoopetitionGame(std::vector<Organization> orgs, CompetitionMatr
   for (std::size_t i = 0; i < orgs_.size(); ++i) profitability[i] = orgs_[i].profitability;
   rho_guard_scale_ = enforce_positive_weights(rho_, profitability);
   z_ = potential_weights(rho_, profitability);
+  std::size_t level_count = 0;
+  for (const auto& org : orgs_) level_count += org.freq_levels.size();
+  feasible_levels_.reserve(level_count);
+  feasible_begin_.reserve(orgs_.size() + 1);
+  for (std::size_t i = 0; i < orgs_.size(); ++i) {
+    feasible_begin_.push_back(feasible_levels_.size());
+    for (std::size_t level = 0; level < orgs_[i].freq_levels.size(); ++level) {
+      if (data_upper_bound(i, level) >= params_.d_min) feasible_levels_.push_back(level);
+    }
+  }
+  feasible_begin_.push_back(feasible_levels_.size());
+}
+
+UnilateralDeviation::UnilateralDeviation(const CoopetitionGame& game, OrgId i,
+                                         const StrategyProfile& profile)
+    : game_(&game), i_(i) {
+  if (profile.size() != game.size()) throw std::invalid_argument("game: profile size mismatch");
+  weight_ = game.contribution_weight(i);  // also rejects i out of range
+  const GameParams& params = game.params();
+  opponents_.reserve(game.size() - 1);
+  omega_suffix_.reserve(game.size() - 1 - i);
+  for (std::size_t j = 0; j < game.size(); ++j) {
+    // Σ_j ρ_{i,j} p_j (Eq. 7) runs over every j, i included, in index order.
+    weighted_profitability_ += game.rho().at(i, j) * game.org(j).profitability;
+    if (j == i) continue;
+    const double term = profile[j].data_fraction * game.contribution_weight(j);
+    if (j < i) {
+      omega_prefix_ += term;
+    } else {
+      omega_suffix_.push_back(term);
+    }
+    opponents_.push_back({params.gamma * game.rho().at(i, j),
+                          profile[j].data_fraction * game.org(j).data_size_bits +
+                              params.lambda * game.frequency(j, profile[j])});
+  }
+}
+
+double UnilateralDeviation::omega(double d) const {
+  // Same additions in the same order as CoopetitionGame::omega(), so the sum
+  // rounds identically; pre-summing the suffix would not.
+  double total = omega_prefix_;
+  total += d * weight_;
+  for (double term : omega_suffix_) total += term;
+  return total;
+}
+
+PayoffBreakdown UnilateralDeviation::breakdown(double d, std::size_t level) const {
+  const CoopetitionGame& game = *game_;
+  const GameParams& params = game.params();
+  const Organization& org = game.org(i_);
+  const Hertz f = org.freq_levels.at(level);
+  const double omega_all = omega(d);
+  // P(d_i, d_-i) and P(0, d_-i); the max guards against cancellation.
+  const double with_i = game.accuracy().performance(omega_all);
+  const double without_i = game.accuracy().performance(std::max(0.0, omega_all - d * weight_));
+
+  PayoffBreakdown breakdown;
+  breakdown.revenue = org.profitability * with_i;
+  // ϖ_e E_i with E_i = κ f² η d s + E_DL T¹ + E_UL T³ (Eq. 8).
+  breakdown.energy_cost =
+      params.omega_e * (org.comp_energy(d, f, params.kappa) + org.comm_energy());
+  // D_i = Σ_j ρ_{i,j} ϖ_j with ϖ_j = p_j [P(d_i, d_-i) - P(0, d_-i)] (Eqs. 6-7),
+  // hoisting the shared marginal factor.
+  breakdown.damage = weighted_profitability_ * (with_i - without_i);
+  // R_i = Σ_j γ ρ_{i,j} [(d_i s_i + λ f_i) - (d_j s_j + λ f_j)] (Eqs. 9-10).
+  const double contribution = d * org.data_size_bits + params.lambda * f;
+  for (const Opponent& opponent : opponents_) {
+    breakdown.redistribution += opponent.gamma_rho * (contribution - opponent.contribution);
+  }
+  // IR/BB/CE reasoning is meaningless on non-finite payoffs; trap NaN/Inf at
+  // the source instead of letting it flow into the solvers.
+  TFL_FINITE(breakdown.revenue);
+  TFL_FINITE(breakdown.energy_cost);
+  TFL_FINITE(breakdown.damage);
+  TFL_FINITE(breakdown.redistribution);
+  return breakdown;
 }
 
 Hertz CoopetitionGame::frequency(OrgId i, const Strategy& strategy) const {
@@ -62,28 +138,11 @@ double CoopetitionGame::performance(const StrategyProfile& profile) const {
 }
 
 double CoopetitionGame::revenue(OrgId i, const StrategyProfile& profile) const {
-  return orgs_.at(i).profitability * performance(profile);
-}
-
-double CoopetitionGame::competitor_profit(OrgId i, OrgId j,
-                                          const StrategyProfile& profile) const {
-  // ϖ_j = p_j [P(d_i, d_-i) - P(0, d_-i)] (Eq. 6): j's extra profit due to
-  // i's marginal contribution to the global model.
-  const double with_i = accuracy_->performance(omega(profile));
-  const double without_i = accuracy_->performance(omega_excluding(profile, i));
-  return orgs_.at(j).profitability * (with_i - without_i);
+  return payoff_breakdown(i, profile).revenue;
 }
 
 double CoopetitionGame::damage(OrgId i, const StrategyProfile& profile) const {
-  const double with_i = accuracy_->performance(omega(profile));
-  const double without_i = accuracy_->performance(omega_excluding(profile, i));
-  const double marginal = with_i - without_i;
-  // Σ_j ρ_{i,j} p_j marginal (Eq. 7), hoisting the shared marginal factor.
-  double weighted_profitability = 0.0;
-  for (std::size_t j = 0; j < orgs_.size(); ++j) {
-    weighted_profitability += rho_.at(i, j) * orgs_[j].profitability;
-  }
-  return weighted_profitability * marginal;
+  return payoff_breakdown(i, profile).damage;
 }
 
 Joules CoopetitionGame::energy(OrgId i, const StrategyProfile& profile) const {
@@ -105,26 +164,15 @@ double CoopetitionGame::redistribution_pair(OrgId i, OrgId j,
 }
 
 double CoopetitionGame::redistribution(OrgId i, const StrategyProfile& profile) const {
-  double total = 0.0;
-  for (std::size_t j = 0; j < orgs_.size(); ++j) {
-    if (j != i) total += redistribution_pair(i, j, profile);
-  }
-  return total;
+  return payoff_breakdown(i, profile).redistribution;
+}
+
+UnilateralDeviation CoopetitionGame::deviation(OrgId i, const StrategyProfile& profile) const {
+  return UnilateralDeviation(*this, i, profile);
 }
 
 PayoffBreakdown CoopetitionGame::payoff_breakdown(OrgId i, const StrategyProfile& profile) const {
-  PayoffBreakdown breakdown;
-  breakdown.revenue = revenue(i, profile);
-  breakdown.energy_cost = params_.omega_e * energy(i, profile);
-  breakdown.damage = damage(i, profile);
-  breakdown.redistribution = redistribution(i, profile);
-  // IR/BB/CE reasoning is meaningless on non-finite payoffs; trap NaN/Inf at
-  // the source instead of letting it flow into the solvers.
-  TFL_FINITE(breakdown.revenue);
-  TFL_FINITE(breakdown.energy_cost);
-  TFL_FINITE(breakdown.damage);
-  TFL_FINITE(breakdown.redistribution);
-  return breakdown;
+  return deviation(i, profile).breakdown(profile[i].data_fraction, profile[i].freq_index);
 }
 
 double CoopetitionGame::payoff(OrgId i, const StrategyProfile& profile) const {
@@ -156,12 +204,9 @@ double CoopetitionGame::data_upper_bound(OrgId i, std::size_t freq_index) const 
   return std::min(1.0, deadline_bound);
 }
 
-std::vector<std::size_t> CoopetitionGame::feasible_freq_levels(OrgId i) const {
-  std::vector<std::size_t> levels;
-  for (std::size_t level = 0; level < orgs_.at(i).freq_levels.size(); ++level) {
-    if (data_upper_bound(i, level) >= params_.d_min) levels.push_back(level);
-  }
-  return levels;
+std::span<const std::size_t> CoopetitionGame::feasible_freq_levels(OrgId i) const {
+  const std::size_t begin = feasible_begin_.at(i);
+  return {feasible_levels_.data() + begin, feasible_begin_.at(i + 1) - begin};
 }
 
 bool CoopetitionGame::is_feasible(const StrategyProfile& profile) const {
@@ -196,7 +241,7 @@ std::string CoopetitionGame::feasibility_report(const StrategyProfile& profile) 
 StrategyProfile CoopetitionGame::minimal_profile() const {
   StrategyProfile profile(orgs_.size());
   for (std::size_t i = 0; i < orgs_.size(); ++i) {
-    const std::vector<std::size_t> levels = feasible_freq_levels(i);
+    const std::span<const std::size_t> levels = feasible_freq_levels(i);
     if (levels.empty()) {
       throw std::runtime_error("game: organization " + orgs_[i].name +
                                " cannot meet the deadline even at d = D_min");
@@ -211,16 +256,13 @@ double CoopetitionGame::max_unilateral_gain(const StrategyProfile& profile,
                                             std::size_t grid) const {
   double worst_gain = 0.0;
   for (std::size_t i = 0; i < orgs_.size(); ++i) {
-    const double current = payoff(i, profile);
-    StrategyProfile trial = profile;
+    const UnilateralDeviation view = deviation(i, profile);
+    const double current =
+        view.breakdown(profile[i].data_fraction, profile[i].freq_index).total();
     for (std::size_t level : feasible_freq_levels(i)) {
       const double upper = data_upper_bound(i, level);
-      trial[i].freq_index = level;
       // Continuous 1-D search (payoff is concave in d_i for Eq. 5 models).
-      auto payoff_at = [&](double d) {
-        trial[i].data_fraction = d;
-        return payoff(i, trial);
-      };
+      auto payoff_at = [&](double d) { return view.breakdown(d, level).total(); };
       const auto best = tradefl::math::golden_section_maximize(
           payoff_at, params_.d_min, upper, 1e-10);
       worst_gain = std::max(worst_gain, best.value - current);
@@ -232,7 +274,6 @@ double CoopetitionGame::max_unilateral_gain(const StrategyProfile& profile,
         worst_gain = std::max(worst_gain, payoff_at(d) - current);
       }
     }
-    trial[i] = profile[i];
   }
   return worst_gain;
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,44 @@ struct PayoffBreakdown {
   [[nodiscard]] double total() const {
     return revenue - energy_cost - damage + redistribution;
   }
+};
+
+class CoopetitionGame;
+
+/// Org i's payoff (Eq. 11) as a function of its own strategy (d_i, f_i) with
+/// the opponents' strategies held fixed — the object a unilateral deviation
+/// (Definition 6) or a best response (Definition 9) varies. Built once per
+/// (org, profile) in O(N) by CoopetitionGame::deviation; every breakdown()
+/// then costs one Ω pass, two accuracy evaluations, the energy term and N-1
+/// redistribution terms. The opponents' Ω terms are kept in index order and
+/// re-summed around d_i w_i exactly as omega() sums them, so every value is
+/// bit-identical to evaluating the full profile. Borrows the game, which
+/// must outlive the view.
+class UnilateralDeviation {
+ public:
+  /// Ω with org i contributing d_i = d.
+  [[nodiscard]] double omega(double d) const;
+
+  /// The four terms of Eq. (11) for org i playing (d, freq level `level`).
+  [[nodiscard]] PayoffBreakdown breakdown(double d, std::size_t level) const;
+
+ private:
+  friend class CoopetitionGame;
+  UnilateralDeviation(const CoopetitionGame& game, OrgId i, const StrategyProfile& profile);
+
+  /// γ ρ_{i,j} and j's resource contribution d_j s_j + λ f_j (Eq. 9).
+  struct Opponent {
+    double gamma_rho = 0.0;
+    double contribution = 0.0;
+  };
+
+  const CoopetitionGame* game_;
+  OrgId i_;
+  double weight_ = 0.0;                 // w_i
+  double omega_prefix_ = 0.0;           // Σ_{j<i} d_j w_j, summed in index order
+  std::vector<double> omega_suffix_;    // d_j w_j for j > i, in index order
+  double weighted_profitability_ = 0.0; // Σ_j ρ_{i,j} p_j (Eq. 7)
+  std::vector<Opponent> opponents_;     // every j != i, in index order
 };
 
 class CoopetitionGame {
@@ -60,9 +99,6 @@ class CoopetitionGame {
   /// p_i P — revenue organization i derives from the global model.
   [[nodiscard]] double revenue(OrgId i, const StrategyProfile& profile) const;
 
-  /// ϖ_j — profit competitor j gains from i's contribution (Eq. 6).
-  [[nodiscard]] double competitor_profit(OrgId i, OrgId j, const StrategyProfile& profile) const;
-
   /// D_i — coopetition damage as the ρ-weighted sum of competitor profits (Eq. 7).
   [[nodiscard]] double damage(OrgId i, const StrategyProfile& profile) const;
 
@@ -74,6 +110,11 @@ class CoopetitionGame {
 
   /// R_i = Σ_j r_{i,j} (Eq. 10).
   [[nodiscard]] double redistribution(OrgId i, const StrategyProfile& profile) const;
+
+  /// Org i's payoff against the fixed opponents of `profile`, for pricing
+  /// many of i's own strategies. Throws std::invalid_argument on a profile
+  /// of the wrong size.
+  [[nodiscard]] UnilateralDeviation deviation(OrgId i, const StrategyProfile& profile) const;
 
   /// Full payoff decomposition of Eq. (11).
   [[nodiscard]] PayoffBreakdown payoff_breakdown(OrgId i, const StrategyProfile& profile) const;
@@ -94,8 +135,9 @@ class CoopetitionGame {
   /// min(1, deadline bound of C^(3)). May be below d_min (infeasible level).
   [[nodiscard]] double data_upper_bound(OrgId i, std::size_t freq_index) const;
 
-  /// Frequency levels of org i that admit some feasible d (bound >= d_min).
-  [[nodiscard]] std::vector<std::size_t> feasible_freq_levels(OrgId i) const;
+  /// Frequency levels of org i that admit some feasible d (bound >= d_min),
+  /// ascending; computed once at construction.
+  [[nodiscard]] std::span<const std::size_t> feasible_freq_levels(OrgId i) const;
 
   /// Checks C^(1)-C^(3) for every organization.
   [[nodiscard]] bool is_feasible(const StrategyProfile& profile) const;
@@ -116,10 +158,11 @@ class CoopetitionGame {
   /// no feasible level at all.
   [[nodiscard]] StrategyProfile minimal_profile() const;
 
-  /// Verifies the NE condition (Definition 6) by grid search over deviations:
-  /// for each org, tries every feasible freq level × `grid` data fractions
-  /// plus the continuous best response. Returns the largest payoff gain any
-  /// single deviation achieves (<= tol means π is a NE up to tol).
+  /// Verifies the NE condition (Definition 6) by searching unilateral
+  /// deviations: for each org and each feasible freq level, a golden-section
+  /// search of the full payoff over [D_min, upper bound] plus `grid` + 1
+  /// evenly spaced data fractions. Returns the largest payoff gain any single
+  /// deviation achieves (<= tol means π is a NE up to tol).
   [[nodiscard]] double max_unilateral_gain(const StrategyProfile& profile,
                                            std::size_t grid = 64) const;
 
@@ -130,6 +173,11 @@ class CoopetitionGame {
   GameParams params_;
   std::vector<double> z_;
   double rho_guard_scale_ = 1.0;
+  // Every org's feasible levels, concatenated: org i's run is
+  // [feasible_begin_[i], feasible_begin_[i + 1]). One flat array keeps the
+  // cache at two allocations per game.
+  std::vector<std::size_t> feasible_levels_;
+  std::vector<std::size_t> feasible_begin_;
 };
 
 }  // namespace tradefl::game

@@ -308,28 +308,36 @@ SessionResult TradingSession::run(const SessionOptions& options) {
   // ---- 1. Equilibrium computation (off-chain, Sec. V). ----
   if (completed_phase < 1) {
     enter_phase(1);
-    TFL_SPAN("session.solve");
-    TFL_LEDGER_PHASE("session.solve");
-    core::SchemeOptions scheme_options = options.scheme_options;
-    scheme_options.cgbd.faults = faults;
-    scheme_options.cgbd.cancel = options.cancel;
-    if (checkpointing) {
-      scheme_options.cgbd.checkpoint_path = options.checkpoint_dir + "/cgbd.snap";
-      scheme_options.cgbd.checkpoint_every = options.checkpoint_every;
-      scheme_options.cgbd.resume =
-          options.resume && snapshot_exists(scheme_options.cgbd.checkpoint_path);
-    }
-    // A solve failure is not containable — without {d*, f*} there is nothing
-    // to trade — but CGBD recovers internally (damped restart, then DBR
-    // fallback); surface the fallback as a degradation rather than hiding it.
-    result.mechanism = core::run_scheme(game, options.scheme, scheme_options);
-    for (const auto& [key, value] : result.mechanism.solution.diagnostics) {
-      if (key == "fallback_dbr" && value > 0.0) {
-        degraded("solve", "CGBD barrier diverged twice; solution computed by DBR fallback");
+    {
+      TFL_SPAN("session.solve");
+      TFL_LEDGER_PHASE("session.solve");
+      core::SchemeOptions scheme_options = options.scheme_options;
+      scheme_options.cgbd.faults = faults;
+      scheme_options.cgbd.cancel = options.cancel;
+      if (checkpointing) {
+        scheme_options.cgbd.checkpoint_path = options.checkpoint_dir + "/cgbd.snap";
+        scheme_options.cgbd.checkpoint_every = options.checkpoint_every;
+        scheme_options.cgbd.resume =
+            options.resume && snapshot_exists(scheme_options.cgbd.checkpoint_path);
+      }
+      // A solve failure is not containable — without {d*, f*} there is nothing
+      // to trade — but CGBD recovers internally (damped restart, then DBR
+      // fallback); surface the fallback as a degradation rather than hiding it.
+      result.mechanism = core::run_scheme(game, options.scheme, scheme_options);
+      for (const auto& [key, value] : result.mechanism.solution.diagnostics) {
+        if (key == "fallback_dbr" && value > 0.0) {
+          degraded("solve", "CGBD barrier diverged twice; solution computed by DBR fallback");
+        }
       }
     }
-    result.properties = core::verify_properties(game, result.mechanism,
-                                                options.scheme != core::Scheme::kTos);
+    {
+      // IR/BB/NE check of the solved profile (Definition 6), traced apart
+      // from the solve it verifies.
+      TFL_SPAN("session.verify");
+      TFL_LEDGER_PHASE("session.verify");
+      result.properties = core::verify_properties(game, result.mechanism,
+                                                  options.scheme != core::Scheme::kTos);
+    }
     save_phase(1);
   }
   const game::StrategyProfile& profile = result.mechanism.solution.profile;

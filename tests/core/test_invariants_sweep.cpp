@@ -1,12 +1,16 @@
 // Randomized property sweep: for a grid of seeds × parameter variations, the
 // TradeFL invariants must hold on games this suite has never seen —
 // feasibility of equilibria, IR/BB (Theorem 2), the NE condition, potential
-// ascent, and the exact weighted-potential identity (Theorem 1).
+// ascent, and the exact weighted-potential identity (Theorem 1) — and the NE
+// check's reported gain must equal the direct-evaluation oracle bit for bit.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "core/mechanism.h"
 #include "game/game_factory.h"
 #include "game/potential.h"
+#include "payoff_oracle.h"
 
 namespace tradefl::core {
 namespace {
@@ -44,6 +48,16 @@ TEST_P(RandomGameInvariants, DbrEquilibriumInvariants) {
   EXPECT_TRUE(report.individual_rationality) << report.summary();
   EXPECT_TRUE(report.budget_balance) << report.summary();
   EXPECT_TRUE(report.nash_equilibrium) << report.summary();
+}
+
+TEST_P(RandomGameInvariants, NashGainBitIdenticalToOracle) {
+  const auto game = make();
+  for (const auto& profile : {game.minimal_profile(), run_dbr(game).profile}) {
+    const double expected = oracle::reference_max_unilateral_gain(game, profile);
+    const double actual = game.max_unilateral_gain(profile);
+    EXPECT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
+        << "oracle " << expected << " vs " << actual;
+  }
 }
 
 TEST_P(RandomGameInvariants, PotentialAscentAlongDbrTrace) {

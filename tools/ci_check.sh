@@ -32,6 +32,11 @@
 #  10. kill-and-resume suite re-run under ASan+UBSan (snapshot corruption,
 #      chain WAL replay, checkpoint/resume bit-identity, real SIGKILL against
 #      the CLI binary) as its own named gate
+#  11. equilibrium-oracle suite re-run under ASan+UBSan: the cached
+#      unilateral-deviation evaluator held bit-identical to the direct
+#      full-profile oracle (payoffs, NE gains, best responses, DBR/WPR/FIP
+#      profiles) plus the RandomGameInvariants sweep, with contracts on so
+#      every TFL_FINITE check in the evaluator runs
 #
 # Usage: tools/ci_check.sh [--no-sanitizers]
 set -euo pipefail
@@ -223,6 +228,14 @@ if [ "$run_sanitizers" -eq 1 ]; then
   # real CLI binary survives injected crashes and a genuine SIGKILL.
   ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
         -R 'KillResume|Snapshot|ChainWal|ChainState|Checkpoint|Session\.C'
+
+  echo "=== ci: equilibrium-oracle suite (asan-ubsan) ==="
+  # Bit-identity gate for the NE check and best responses: the deviation
+  # evaluator against the full-profile oracle (tests/core/payoff_oracle.h),
+  # memcmp-equal, on toy, gamma=0, rho=0 and all four accuracy-model games,
+  # the known CGBD NE miss, and every RandomGameInvariants sweep case.
+  ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
+        -R 'PayoffOracle|RandomGameInvariants'
 fi
 
 echo "ci_check: all gates passed"

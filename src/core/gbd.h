@@ -18,10 +18,13 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/faults.h"
+#include "common/result.h"
 #include "core/solution.h"
 #include "game/game.h"
 #include "math/barrier_solver.h"
@@ -84,6 +87,38 @@ struct PrimalSolve {
   std::size_t violating_org = 0;    // argmax row of (21) when infeasible
 };
 
+/// Benders cuts on the master problem (23), pre-tabulated per organization
+/// and frequency level.
+struct OptimalityCut {
+  double base = 0.0;                            // P(Ω(d_v))
+  std::vector<std::vector<double>> per_level;   // [org][level] terms
+};
+struct FeasibilityCut {
+  std::size_t org = 0;                 // λ is the indicator of this row
+  std::vector<double> slack_by_level;  // g_org(d_v, level)
+};
+
+/// The "core.gbd" snapshot: the master problem's state after a completed
+/// iteration, fingerprinted to the game it was solved on so a checkpoint can
+/// never resume a different instance.
+struct GbdCheckpoint {
+  std::uint64_t org_count = 0;
+  std::uint64_t level_fingerprint = 0;
+  std::int64_t iteration_completed = 0;
+  std::vector<std::size_t> freq;  // the next tuple to solve
+  double lower_bound = 0.0;
+  double upper_bound = 0.0;
+  game::StrategyProfile incumbent;
+  std::uint64_t total_tuples = 0;
+  std::vector<IterationRecord> trace;
+  std::vector<OptimalityCut> optimality_cuts;
+  std::vector<FeasibilityCut> feasibility_cuts;
+  std::set<std::vector<std::size_t>> visited;
+};
+
+Result<std::size_t> write_gbd_checkpoint(const std::string& path, const GbdCheckpoint& state);
+[[nodiscard]] Result<GbdCheckpoint> read_gbd_checkpoint(const std::string& path);
+
 class GbdSolver {
  public:
   GbdSolver(const game::CoopetitionGame& game, GbdOptions options = {});
@@ -114,15 +149,6 @@ class GbdSolver {
   [[nodiscard]] PrimalSolve solve_primal_impl(const std::vector<std::size_t>& freq_indices,
                                               const math::BarrierOptions& barrier,
                                               bool poison) const;
-
-  struct OptimalityCut {
-    double base = 0.0;                            // P(Ω(d_v))
-    std::vector<std::vector<double>> per_level;   // [org][level] terms
-  };
-  struct FeasibilityCut {
-    std::size_t org = 0;              // λ is the indicator of this row
-    std::vector<double> slack_by_level;  // g_org(d_v, level)
-  };
 
   [[nodiscard]] OptimalityCut make_optimality_cut(const PrimalSolve& primal) const;
   [[nodiscard]] FeasibilityCut make_feasibility_cut(const PrimalSolve& primal,

@@ -74,6 +74,44 @@ struct FedAsyncResult {
   std::size_t total_clipped = 0;      // incoming deltas norm-clipped pre-merge
 };
 
+/// One client's in-flight update in the arrival queue.
+struct PendingUpdate {
+  double ready_at = 0.0;
+  double pulled_at = 0.0;
+  std::size_t client = 0;
+
+  // Strict total order (each client has exactly one pending update, so the
+  // client index breaks ready_at ties uniquely): pop order depends only on
+  // the queue's CONTENTS, never on push order, which is what lets a resumed
+  // run rebuild the heap from a drained snapshot and still replay
+  // bit-identically.
+  bool operator>(const PendingUpdate& other) const {
+    if (ready_at != other.ready_at) return ready_at > other.ready_at;
+    return client > other.client;
+  }
+};
+
+/// The "fl.fedasync" snapshot: everything a resumed run needs to replay the
+/// remaining merges bit-identically.
+struct FedAsyncCheckpoint {
+  std::uint64_t client_count = 0;
+  std::uint64_t weight_count = 0;
+  std::uint64_t shuffle_seed = 0;
+  AggregatorSpec aggregator{};
+
+  std::uint64_t events_processed = 0;
+  std::vector<float> global_weights;
+  std::vector<std::vector<float>> pulled;
+  std::vector<std::uint64_t> update_counts;
+  Rng::State shuffle_rng{};
+  std::vector<PendingUpdate> queue;
+  FedAsyncResult partial;
+};
+
+Result<std::size_t> write_fedasync_checkpoint(const std::string& path,
+                                              const FedAsyncCheckpoint& state);
+[[nodiscard]] Result<FedAsyncCheckpoint> read_fedasync_checkpoint(const std::string& path);
+
 /// Event-driven simulation: every client trains continuously; when a local
 /// update completes (after round_latency simulated seconds) it is merged with
 /// the staleness-discounted rule above and the client pulls fresh weights.

@@ -39,11 +39,38 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/config.h"
 #include "common/result.h"
 
 namespace tradefl::server {
+
+// ---------------------------------------------------------------------------
+// Registry: the CRC-framed record of every admitted session ("tradefl.server.
+// registry" snapshot). Saved on every state change so a SIGKILL at any
+// instant leaves a consistent picture of which sessions still owe work.
+
+enum class SessionState : std::uint8_t {
+  kPending = 0,  // admitted, not finished — resumable from its checkpoints
+  kDone = 1,     // report written, invariants held
+  kFailed = 2,   // errored; not resumable
+};
+
+struct RegistryEntry {
+  std::uint64_t id = 0;
+  SessionState state = SessionState::kPending;
+  std::string config_text;  // Config entries as k=v lines (Config::from_text)
+  std::uint64_t attempts = 0;
+};
+
+struct Registry {
+  std::uint64_t next_session_id = 1;
+  std::vector<RegistryEntry> entries;
+};
+
+Status save_registry(const std::string& path, const Registry& registry);
+[[nodiscard]] Result<Registry> load_registry(const std::string& path);
 
 struct ServeOptions {
   /// State root. Holds registry.snap plus sessions/<id>/ checkpoint dirs.

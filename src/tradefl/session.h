@@ -120,6 +120,37 @@ struct SessionResult {
   std::uint64_t retry_attempts = 0;  // on-chain retries consumed this run
 };
 
+/// Everything a resumed session needs to continue at the last completed
+/// phase: the result fields filled so far, plus — once the chain exists —
+/// the full chain state (escrow included) and the Web3 fault cursor, so
+/// re-executed calls draw the same injected faults the killed run would
+/// have seen.
+struct SessionCheckpoint {
+  // Fingerprint: resuming under a different experiment fails closed.
+  std::uint64_t org_count = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t scheme = 0;
+  bool run_training = false;
+  fl::AggregatorSpec aggregator{};
+
+  /// 1 = solve, 2 = training, 3 = escrow, 4 = contributions, 5 = settled.
+  std::uint64_t completed_phase = 0;
+  SessionResult result;
+
+  bool has_chain = false;  // phases >= 3 carry the chain alongside
+  chain::Bytes chain_state;
+  std::uint64_t call_index = 0;
+  std::uint64_t retry_sequence = 0;
+  std::uint64_t retry_attempts = 0;  // lifetime web3 attempts at snapshot time
+  bool chain_ok = true;
+};
+
+/// The "tradefl.session" snapshot, written at every phase boundary of a
+/// checkpointed run and fingerprint-checked on resume.
+Result<std::size_t> write_session_checkpoint(const std::string& path,
+                                             const SessionCheckpoint& state);
+[[nodiscard]] Result<SessionCheckpoint> read_session_checkpoint(const std::string& path);
+
 class TradingSession {
  public:
   explicit TradingSession(const game::CoopetitionGame& game);

@@ -18,9 +18,18 @@ struct BlockHeader {
   Hash256 prev_hash{};
   Hash256 tx_root{};
 
+  /// The hash preimage: exactly the header bytes of the persisted block.
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] Hash256 hash() const;
 };
+
+template <class Io, FieldsOf<BlockHeader> Self>
+void fields(Io& io, Self& header) {
+  io.u64(header.index);
+  io.u64(header.timestamp);
+  io.fixed(header.prev_hash);
+  io.fixed(header.tx_root);
+}
 
 struct Block {
   BlockHeader header;
@@ -39,6 +48,13 @@ struct Block {
   /// True when header.tx_root matches the transactions.
   [[nodiscard]] bool verify_tx_root() const;
 };
+
+/// A WAL record payload, and (length-prefixed) each block of the chain state.
+template <class Io, FieldsOf<Block> Self>
+void fields(Io& io, Self& block) {
+  fields(io, block.header);
+  io.seq(block.transactions);
+}
 
 /// Merkle inclusion proof: the sibling hashes from a transaction leaf up to
 /// the root. Lets an arbitrator verify "this exact transaction is in that

@@ -12,6 +12,25 @@
 #include "obs/obs.h"
 
 namespace tradefl::chain {
+
+template <class Io, FieldsOf<Receipt> Self>
+void fields(Io& io, Self& receipt) {
+  io.fixed(receipt.tx_hash);
+  io.boolean(receipt.success);
+  io.string(receipt.revert_reason);
+  io.u64(receipt.gas_used);
+  io.bytes(receipt.return_data);
+  io.u64(receipt.block_index);
+}
+
+template <class Io, FieldsOf<Event> Self>
+void fields(Io& io, Self& event) {
+  fields(io, event.contract);
+  io.string(event.name);
+  io.encoded(event.fields, encode_values, decode_values);
+  io.u64(event.block_index);
+}
+
 namespace {
 
 // WAL record framing: [u32 magic "TFWL"] [u32 payload length] [payload]
@@ -28,70 +47,42 @@ constexpr std::uint32_t kChainSnapshotVersion = 1;
 
 using BalanceJournal = MapUndoJournal<std::map<Address, Wei>>;
 
-void put_fixed(ByteWriter& writer, const std::uint8_t* data, std::size_t size) {
-  writer.put_bytes(Bytes(data, data + size));
+/// The persisted part of a Blockchain, in wire order. Contracts travel as
+/// (address, name, state blob) and are rebuilt through a ContractFactory.
+struct ContractRecord {
+  Address address;
+  std::string name;
+  Bytes state;
+};
+
+struct ChainState {
+  std::map<Address, Wei> balances;
+  std::vector<ContractRecord> contracts;
+  std::map<Address, std::uint64_t> nonces;
+  std::vector<Block> blocks;
+  std::vector<Receipt> receipts;
+  std::vector<Event> events;
+  std::uint64_t deploy_nonce = 0;
+  std::uint64_t logical_clock = 0;
+};
+
+template <class Io, FieldsOf<ContractRecord> Self>
+void fields(Io& io, Self& record) {
+  fields(io, record.address);
+  io.string(record.name);
+  io.bytes(record.state);
 }
 
-Hash256 get_hash(ByteReader& reader) {
-  const Bytes raw = reader.get_bytes();
-  if (raw.size() != 32) throw std::invalid_argument("chain: hash field is not 32 bytes");
-  Hash256 hash{};
-  std::copy(raw.begin(), raw.end(), hash.begin());
-  return hash;
-}
-
-Address get_address(ByteReader& reader) {
-  const Bytes raw = reader.get_bytes();
-  if (raw.size() != 20) throw std::invalid_argument("chain: address field is not 20 bytes");
-  Address address{};
-  std::copy(raw.begin(), raw.end(), address.bytes.begin());
-  return address;
-}
-
-void put_tx(ByteWriter& writer, const Transaction& tx) {
-  put_fixed(writer, tx.from.bytes.data(), tx.from.bytes.size());
-  put_fixed(writer, tx.to.bytes.data(), tx.to.bytes.size());
-  writer.put_i64(tx.value);
-  writer.put_u64(tx.nonce);
-  writer.put_bytes(tx.data);
-  writer.put_u64(tx.gas_limit);
-  writer.put_i64(tx.fee);
-}
-
-Transaction get_tx(ByteReader& reader) {
-  Transaction tx;
-  tx.from = get_address(reader);
-  tx.to = get_address(reader);
-  tx.value = reader.get_i64();
-  tx.nonce = reader.get_u64();
-  tx.data = reader.get_bytes();
-  tx.gas_limit = reader.get_u64();
-  tx.fee = reader.get_i64();
-  return tx;
-}
-
-Bytes serialize_block(const Block& block) {
-  ByteWriter writer;
-  writer.put_u64(block.header.index);
-  writer.put_u64(block.header.timestamp);
-  put_fixed(writer, block.header.prev_hash.data(), block.header.prev_hash.size());
-  put_fixed(writer, block.header.tx_root.data(), block.header.tx_root.size());
-  writer.put_u64(block.transactions.size());
-  for (const Transaction& tx : block.transactions) put_tx(writer, tx);
-  return writer.data();
-}
-
-Block decode_block(const Bytes& payload) {
-  ByteReader reader(payload);
-  Block block;
-  block.header.index = reader.get_u64();
-  block.header.timestamp = reader.get_u64();
-  block.header.prev_hash = get_hash(reader);
-  block.header.tx_root = get_hash(reader);
-  const std::uint64_t tx_count = reader.get_u64();
-  for (std::uint64_t i = 0; i < tx_count; ++i) block.transactions.push_back(get_tx(reader));
-  if (!reader.exhausted()) throw std::invalid_argument("chain: trailing bytes in block record");
-  return block;
+template <class Io, FieldsOf<ChainState> Self>
+void fields(Io& io, Self& state) {
+  io.seq(state.balances);
+  io.seq(state.contracts);
+  io.seq(state.nonces);
+  io.seq(state.blocks, [](Io& inner, auto& block) { inner.nested(block); });
+  io.seq(state.receipts);
+  io.seq(state.events);
+  io.u64(state.deploy_nonce);
+  io.u64(state.logical_clock);
 }
 
 void append_u32_le(Bytes& out, std::uint32_t value) {
@@ -101,7 +92,9 @@ void append_u32_le(Bytes& out, std::uint32_t value) {
 }
 
 Bytes frame_wal_record(const Block& block) {
-  const Bytes payload = serialize_block(block);
+  ByteWriter writer;
+  fields(writer, block);
+  const Bytes& payload = writer.data();
   Bytes frame;
   append_u32_le(frame, kWalMagic);
   append_u32_le(frame, static_cast<std::uint32_t>(payload.size()));
@@ -156,9 +149,9 @@ bool parse_wal_frame(const Bytes& raw, std::size_t& offset, Block& block) {
   WalFrame frame;
   if (!frame_bounds(raw, offset, frame)) return false;
   try {
-    block = decode_block(
-        Bytes(raw.begin() + static_cast<std::ptrdiff_t>(frame.payload_at),
-              raw.begin() + static_cast<std::ptrdiff_t>(frame.payload_at + frame.length)));
+    ByteReader reader(raw.data() + frame.payload_at, frame.length);
+    fields(reader, block);
+    if (!reader.exhausted()) return false;
   } catch (const std::exception&) {
     return false;
   }
@@ -479,58 +472,28 @@ ChainValidation Blockchain::validate() const {
 // ----- durability -----
 
 Bytes Blockchain::save_chain_state() const {
+  ChainState state;
+  state.balances = balances_;
+  for (const auto& [address, contract] : contracts_) {
+    state.contracts.push_back({address, contract->contract_name(), contract->save_state()});
+  }
+  state.nonces = nonces_;
+  state.blocks = blocks_;
+  state.receipts = receipts_;
+  state.events = events_;
+  state.deploy_nonce = deploy_nonce_;
+  state.logical_clock = logical_clock_;
   ByteWriter writer;
   writer.put_u32(kChainStateVersion);
-  writer.put_u64(balances_.size());
-  for (const auto& [address, amount] : balances_) {
-    put_fixed(writer, address.bytes.data(), address.bytes.size());
-    writer.put_i64(amount);
-  }
-  writer.put_u64(contracts_.size());
-  for (const auto& [address, contract] : contracts_) {
-    put_fixed(writer, address.bytes.data(), address.bytes.size());
-    writer.put_string(contract->contract_name());
-    writer.put_bytes(contract->save_state());
-  }
-  writer.put_u64(nonces_.size());
-  for (const auto& [address, nonce] : nonces_) {
-    put_fixed(writer, address.bytes.data(), address.bytes.size());
-    writer.put_u64(nonce);
-  }
-  writer.put_u64(blocks_.size());
-  for (const Block& block : blocks_) writer.put_bytes(serialize_block(block));
-  writer.put_u64(receipts_.size());
-  for (const Receipt& receipt : receipts_) {
-    put_fixed(writer, receipt.tx_hash.data(), receipt.tx_hash.size());
-    writer.put_u8(receipt.success ? 1 : 0);
-    writer.put_string(receipt.revert_reason);
-    writer.put_u64(receipt.gas_used);
-    writer.put_bytes(receipt.return_data);
-    writer.put_u64(receipt.block_index);
-  }
-  writer.put_u64(events_.size());
-  for (const Event& event : events_) {
-    put_fixed(writer, event.contract.bytes.data(), event.contract.bytes.size());
-    writer.put_string(event.name);
-    writer.put_bytes(encode_values(event.fields));
-    writer.put_u64(event.block_index);
-  }
-  writer.put_u64(deploy_nonce_);
-  writer.put_u64(logical_clock_);
+  fields(writer, state);
   return writer.data();
 }
 
 Status Blockchain::restore_chain_state(const Bytes& bytes, const ContractFactory& factory) {
   // Decode into locals first: a malformed payload must leave this chain
   // exactly as it was (fail closed, never partial state).
-  std::map<Address, Wei> balances;
+  ChainState state;
   std::map<Address, ContractPtr> contracts;
-  std::map<Address, std::uint64_t> nonces;
-  std::vector<Block> blocks;
-  std::vector<Receipt> receipts;
-  std::vector<Event> events;
-  std::uint64_t deploy_nonce = 0;
-  std::uint64_t logical_clock = 0;
   try {
     ByteReader reader(bytes);
     const std::uint32_t version = reader.get_u32();
@@ -538,70 +501,31 @@ Status Blockchain::restore_chain_state(const Bytes& bytes, const ContractFactory
       return Error{"chain.snapshot", "unsupported chain state version " +
                                          std::to_string(version)};
     }
-    const std::uint64_t balance_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < balance_count; ++i) {
-      const Address address = get_address(reader);
-      balances[address] = reader.get_i64();
-    }
-    const std::uint64_t contract_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < contract_count; ++i) {
-      const Address address = get_address(reader);
-      const std::string name = reader.get_string();
-      const Bytes state = reader.get_bytes();
-      ContractPtr contract = factory ? factory(name) : nullptr;
-      if (!contract) {
-        return Error{"chain.snapshot", "no factory for contract '" + name + "'"};
-      }
-      contract->load_state(state);
-      contracts[address] = std::move(contract);
-    }
-    const std::uint64_t nonce_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < nonce_count; ++i) {
-      const Address address = get_address(reader);
-      nonces[address] = reader.get_u64();
-    }
-    const std::uint64_t block_count = reader.get_u64();
-    if (block_count == 0) return Error{"chain.snapshot", "chain state holds no blocks"};
-    for (std::uint64_t i = 0; i < block_count; ++i) {
-      blocks.push_back(decode_block(reader.get_bytes()));
-    }
-    const std::uint64_t receipt_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < receipt_count; ++i) {
-      Receipt receipt;
-      receipt.tx_hash = get_hash(reader);
-      receipt.success = reader.get_u8() == 1;
-      receipt.revert_reason = reader.get_string();
-      receipt.gas_used = reader.get_u64();
-      receipt.return_data = reader.get_bytes();
-      receipt.block_index = reader.get_u64();
-      receipts.push_back(std::move(receipt));
-    }
-    const std::uint64_t event_count = reader.get_u64();
-    for (std::uint64_t i = 0; i < event_count; ++i) {
-      Event event;
-      event.contract = get_address(reader);
-      event.name = reader.get_string();
-      event.fields = decode_values(reader.get_bytes());
-      event.block_index = reader.get_u64();
-      events.push_back(std::move(event));
-    }
-    deploy_nonce = reader.get_u64();
-    logical_clock = reader.get_u64();
+    fields(reader, state);
     if (!reader.exhausted()) {
       return Error{"chain.snapshot", "trailing bytes after chain state"};
+    }
+    if (state.blocks.empty()) return Error{"chain.snapshot", "chain state holds no blocks"};
+    for (const ContractRecord& record : state.contracts) {
+      ContractPtr contract = factory ? factory(record.name) : nullptr;
+      if (!contract) {
+        return Error{"chain.snapshot", "no factory for contract '" + record.name + "'"};
+      }
+      contract->load_state(record.state);
+      contracts[record.address] = std::move(contract);
     }
   } catch (const std::exception& error) {
     return Error{"chain.snapshot", std::string("malformed chain state: ") + error.what()};
   }
-  balances_ = std::move(balances);
+  balances_ = std::move(state.balances);
   contracts_ = std::move(contracts);
-  nonces_ = std::move(nonces);
-  blocks_ = std::move(blocks);
+  nonces_ = std::move(state.nonces);
+  blocks_ = std::move(state.blocks);
   mempool_.clear();
-  receipts_ = std::move(receipts);
-  events_ = std::move(events);
-  deploy_nonce_ = deploy_nonce;
-  logical_clock_ = logical_clock;
+  receipts_ = std::move(state.receipts);
+  events_ = std::move(state.events);
+  deploy_nonce_ = state.deploy_nonce;
+  logical_clock_ = state.logical_clock;
   rebuild_indexes();
   // The attached WAL (if any) mirrors the chain this restore just replaced;
   // appending restored-era blocks to it would interleave two histories.
@@ -691,19 +615,21 @@ Result<WalReplay> Blockchain::replay_wal(const std::string& path) {
 
 namespace {
 
-/// Snapshot payload codec: one length-prefixed chain-state blob. Mirrors the
-/// decode lambda in snapshot_sync exactly.
-SnapshotWriter encode_chain_snapshot(const Bytes& state) {
-  SnapshotWriter writer;
-  writer.put_bytes(state);
-  return writer;
+/// The "chain.state" snapshot payload: one length-prefixed chain-state blob.
+struct ChainSnapshot {
+  Bytes state;
+};
+
+template <class Io, FieldsOf<ChainSnapshot> Self>
+void fields(Io& io, Self& snapshot) {
+  io.bytes(snapshot.state);
 }
 
 }  // namespace
 
 Status Blockchain::save_snapshot(const std::string& path) const {
-  auto written = write_snapshot_file(path, kChainSnapshotKind, kChainSnapshotVersion,
-                                     encode_chain_snapshot(save_chain_state()));
+  auto written = write_snapshot_value(path, kChainSnapshotKind, kChainSnapshotVersion,
+                                      ChainSnapshot{save_chain_state()});
   if (!written.ok()) return written.error();
   TFL_COUNTER_INC("snapshot.writes");
   TFL_COUNTER_ADD("snapshot.bytes", written.value());
@@ -721,12 +647,10 @@ Result<WalReplay> Blockchain::snapshot_sync(const std::string& snapshot_path,
     // alone is the history, so fall back to the full genesis replay.
     return replay_wal(wal_path);
   }
-  auto payload = read_snapshot_file(snapshot_path, kChainSnapshotKind, kChainSnapshotVersion);
-  if (!payload.ok()) return payload.error();
-  auto state = decode_snapshot<Bytes>(payload.value(),
-                                      [](SnapshotReader& reader) { return reader.get_bytes(); });
-  if (!state.ok()) return state.error();
-  const Status restored = restore_chain_state(state.value(), factory);
+  auto snapshot =
+      read_snapshot_value<ChainSnapshot>(snapshot_path, kChainSnapshotKind, kChainSnapshotVersion);
+  if (!snapshot.ok()) return snapshot.error();
+  const Status restored = restore_chain_state(snapshot.value().state, factory);
   if (!restored.ok()) return restored.error();
   TFL_COUNTER_INC("snapshot.resumes");
 

@@ -69,8 +69,21 @@ void ByteWriter::put_string(const std::string& value) {
   buffer_.insert(buffer_.end(), value.begin(), value.end());
 }
 
+void ByteWriter::close_nested(std::size_t at) {
+  const std::size_t size = buffer_.size() - at - 4;
+  TFL_CHECK(size <= std::numeric_limits<std::uint32_t>::max(),
+            "nested record of ", size, " bytes exceeds u32 length prefix");
+  for (std::size_t i = 0; i < 4; ++i) {
+    buffer_[at + i] = static_cast<std::uint8_t>(size >> (8 * i));
+  }
+}
+
 void ByteReader::require(std::size_t count) const {
-  if (offset_ + count > data_.size()) throw std::out_of_range("ByteReader: truncated payload");
+  if (count > size_ - offset_) throw std::out_of_range("ByteReader: truncated payload");
+}
+
+void ByteReader::fail(const std::string& message) const {
+  throw std::invalid_argument("chain: " + message);
 }
 
 std::uint8_t ByteReader::get_u8() {
@@ -94,11 +107,16 @@ std::uint64_t ByteReader::get_u64() {
 
 std::int64_t ByteReader::get_i64() { return static_cast<std::int64_t>(get_u64()); }
 
+bool ByteReader::get_bool() {
+  const std::uint8_t raw = get_u8();
+  if (raw > 1) fail("bool field holds " + std::to_string(raw));
+  return raw == 1;
+}
+
 Bytes ByteReader::get_bytes() {
   const std::uint32_t size = get_u32();
   require(size);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(offset_),
-            data_.begin() + static_cast<std::ptrdiff_t>(offset_ + size));
+  Bytes out(data_ + offset_, data_ + offset_ + size);
   offset_ += size;
   return out;
 }

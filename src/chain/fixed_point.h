@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.h"
+
 namespace tradefl::chain {
 
 class Fixed {
@@ -40,6 +42,12 @@ class Fixed {
   [[nodiscard]] Fixed operator/(Fixed other) const;
 
   auto operator<=>(const Fixed&) const = default;
+
+  /// Persisted as its raw units (one i64).
+  template <class Io, FieldsOf<Fixed> Self>
+  friend void fields(Io& io, Self& value) {
+    io.i64(value.raw_);
+  }
 
  private:
   explicit constexpr Fixed(std::int64_t raw) : raw_(raw) {}

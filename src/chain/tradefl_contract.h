@@ -68,6 +68,12 @@ class TradeFlContract final : public Contract {
   [[nodiscard]] Bytes save_state() const override;
   void load_state(const Bytes& state) override;
 
+  /// The persisted state: phase, round and per-org ledger. The org set is
+  /// fixed by the deployment config, so a blob for a different org count is
+  /// rejected rather than resized.
+  template <class Io, FieldsOf<TradeFlContract> Self>
+  friend void fields(Io& io, Self& contract);
+
  private:
   struct OrgState {
     Address account{};

@@ -29,6 +29,12 @@ struct Address {
   auto operator<=>(const Address&) const = default;
 };
 
+/// A 20-byte blob whose reader checks the exact length.
+template <class Io, FieldsOf<Address> Self>
+void fields(Io& io, Self& address) {
+  io.fixed(address.bytes);
+}
+
 struct Transaction {
   Address from;
   Address to;            // zero address = contract deployment
@@ -41,9 +47,22 @@ struct Transaction {
   /// simulation's economics live in the contract, not in gas auctions.
   Wei fee = 0;
 
+  /// The hash preimage: exactly the bytes the chain persists for this
+  /// transaction (see fields below).
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] Hash256 hash() const;
 };
+
+template <class Io, FieldsOf<Transaction> Self>
+void fields(Io& io, Self& tx) {
+  fields(io, tx.from);
+  fields(io, tx.to);
+  io.i64(tx.value);
+  io.u64(tx.nonce);
+  io.bytes(tx.data);
+  io.u64(tx.gas_limit);
+  io.i64(tx.fee);
+}
 
 /// Execution outcome recorded on-chain next to the transaction.
 struct Receipt {

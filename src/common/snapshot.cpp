@@ -75,23 +75,12 @@ void SnapshotWriter::put_string(const std::string& value) {
 }
 
 void SnapshotWriter::put_bytes(const std::vector<std::uint8_t>& value) {
-  put_u64(value.size());
-  buffer_.insert(buffer_.end(), value.begin(), value.end());
+  put_bytes(value.data(), value.size());
 }
 
-void SnapshotWriter::put_f32s(const std::vector<float>& values) {
-  put_u64(values.size());
-  for (float value : values) put_f32(value);
-}
-
-void SnapshotWriter::put_f64s(const std::vector<double>& values) {
-  put_u64(values.size());
-  for (double value : values) put_f64(value);
-}
-
-void SnapshotWriter::put_u64s(const std::vector<std::uint64_t>& values) {
-  put_u64(values.size());
-  for (std::uint64_t value : values) put_u64(value);
+void SnapshotWriter::put_bytes(const std::uint8_t* value, std::size_t size) {
+  put_u64(size);
+  buffer_.insert(buffer_.end(), value, value + size);
 }
 
 // ----- SnapshotReader -----
@@ -155,36 +144,6 @@ std::vector<std::uint8_t> SnapshotReader::get_bytes() {
   std::vector<std::uint8_t> value(data_ + offset_, data_ + offset_ + length);
   offset_ += static_cast<std::size_t>(length);
   return value;
-}
-
-std::vector<float> SnapshotReader::get_f32s() {
-  const std::uint64_t count = get_u64();
-  if (count > kMaxFieldBytes / 4) throw SnapshotError("f32 count exceeds sanity cap");
-  require(static_cast<std::size_t>(count) * 4);
-  std::vector<float> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) values.push_back(get_f32());
-  return values;
-}
-
-std::vector<double> SnapshotReader::get_f64s() {
-  const std::uint64_t count = get_u64();
-  if (count > kMaxFieldBytes / 8) throw SnapshotError("f64 count exceeds sanity cap");
-  require(static_cast<std::size_t>(count) * 8);
-  std::vector<double> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) values.push_back(get_f64());
-  return values;
-}
-
-std::vector<std::uint64_t> SnapshotReader::get_u64s() {
-  const std::uint64_t count = get_u64();
-  if (count > kMaxFieldBytes / 8) throw SnapshotError("u64 count exceeds sanity cap");
-  require(static_cast<std::size_t>(count) * 8);
-  std::vector<std::uint64_t> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) values.push_back(get_u64());
-  return values;
 }
 
 void SnapshotReader::require_exhausted() const {

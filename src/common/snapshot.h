@@ -1,7 +1,10 @@
 // Crash-consistent, versioned binary snapshots. Every long-running pipeline
 // (FedAvg/FedAsync training, CGBD solves, trading sessions, the chain WAL)
 // persists its state through this layer instead of rolling its own ofstream
-// format — tfl-lint enforces that.
+// format — tfl-lint enforces that. Payload layouts are the persisted
+// structs' fields() (common/fields.h): one function per struct drives both
+// the writer and the reader, and tests/integration/test_golden_bytes.cpp pins
+// the resulting bytes of every kind.
 //
 // File layout (all integers little-endian, floats as IEEE-754 bit patterns):
 //
@@ -28,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/result.h"
 
 namespace tradefl {
@@ -50,9 +54,10 @@ class SnapshotError : public std::exception {
 };
 
 /// Appends fields to a snapshot payload in the canonical little-endian
-/// encoding. The writer is append-only; payload() hands the bytes to
-/// write_snapshot_file (or the chain WAL framing).
-class SnapshotWriter {
+/// encoding (u64 length prefixes). The writer is append-only; payload() hands
+/// the bytes to write_snapshot_file. Structs are written through their
+/// fields() with the verbs of common/fields.h.
+class SnapshotWriter : public FieldWriter<SnapshotWriter> {
  public:
   void put_u8(std::uint8_t value);
   void put_u32(std::uint32_t value);
@@ -65,9 +70,7 @@ class SnapshotWriter {
   /// u64 length prefix followed by the raw bytes.
   void put_string(const std::string& value);
   void put_bytes(const std::vector<std::uint8_t>& value);
-  void put_f32s(const std::vector<float>& values);
-  void put_f64s(const std::vector<double>& values);
-  void put_u64s(const std::vector<std::uint64_t>& values);
+  void put_bytes(const std::uint8_t* value, std::size_t size);
 
   [[nodiscard]] const std::vector<std::uint8_t>& payload() const { return buffer_; }
 
@@ -75,10 +78,10 @@ class SnapshotWriter {
   std::vector<std::uint8_t> buffer_;
 };
 
-/// Strict mirror of SnapshotWriter. Every overrun or oversized length prefix
-/// throws SnapshotError immediately — a corrupt payload can never yield a
-/// partially-plausible value.
-class SnapshotReader {
+/// Strict mirror of SnapshotWriter. Every overrun, oversized length prefix or
+/// out-of-range field throws SnapshotError immediately — a corrupt payload
+/// can never yield a partially-plausible value.
+class SnapshotReader : public FieldReader<SnapshotReader> {
  public:
   explicit SnapshotReader(const std::vector<std::uint8_t>& payload)
       : data_(payload.data()), size_(payload.size()) {}
@@ -93,15 +96,14 @@ class SnapshotReader {
   [[nodiscard]] double get_f64();
   [[nodiscard]] std::string get_string();
   [[nodiscard]] std::vector<std::uint8_t> get_bytes();
-  [[nodiscard]] std::vector<float> get_f32s();
-  [[nodiscard]] std::vector<double> get_f64s();
-  [[nodiscard]] std::vector<std::uint64_t> get_u64s();
 
   [[nodiscard]] std::size_t remaining() const { return size_ - offset_; }
 
   /// Decoders call this last: trailing bytes mean the payload and the decoder
   /// disagree about the schema, which is corruption, not slack.
   void require_exhausted() const;
+
+  [[noreturn]] void fail(const std::string& message) const { throw SnapshotError(message); }
 
  private:
   void require(std::size_t bytes) const;
@@ -140,6 +142,28 @@ Result<T> decode_snapshot(const std::vector<std::uint8_t>& payload, Decode&& dec
   } catch (const SnapshotError& error) {
     return Error{"snapshot.decode", error.what()};
   }
+}
+
+/// Persists `value` through its fields() under the snapshot framing.
+template <typename T>
+Result<std::size_t> write_snapshot_value(const std::string& path, const std::string& kind,
+                                         std::uint32_t version, const T& value) {
+  SnapshotWriter writer;
+  fields(writer, value);
+  return write_snapshot_file(path, kind, version, writer);
+}
+
+/// Reads, validates and decodes a snapshot written by write_snapshot_value.
+template <typename T>
+Result<T> read_snapshot_value(const std::string& path, const std::string& kind,
+                              std::uint32_t max_version) {
+  auto payload = read_snapshot_file(path, kind, max_version);
+  if (!payload.ok()) return payload.error();
+  return decode_snapshot<T>(payload.value(), [](SnapshotReader& reader) {
+    T value{};
+    fields(reader, value);
+    return value;
+  });
 }
 
 }  // namespace tradefl

@@ -63,6 +63,17 @@ struct SiloDeviation {
   double rejected_share = 0.0;   // fraction of aggregated rounds rejected
 };
 
+template <class Io, FieldsOf<SiloDeviation> Self>
+void fields(Io& io, Self& silo) {
+  io.u64(silo.silo);
+  io.string(silo.attack);
+  io.f64(silo.truthful_payoff);
+  io.f64(silo.empirical_payoff);
+  io.f64(silo.payoff_gain);
+  io.f64(silo.influence);
+  io.f64(silo.rejected_share);
+}
+
 /// Session-level audit report: empirical IR / BB / CE verdicts plus the
 /// per-deviator payoff accounting.
 struct DeviationAudit {
@@ -94,12 +105,24 @@ struct DeviationAudit {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Snapshot codecs (session checkpoint embeds the audit; pairing covered by
-/// the tfl-analyze schema-drift rule).
-void put_silo_deviation(SnapshotWriter& writer, const SiloDeviation& silo);
-[[nodiscard]] SiloDeviation get_silo_deviation(SnapshotReader& reader);
-void put_deviation_audit(SnapshotWriter& writer, const DeviationAudit& audit);
-[[nodiscard]] DeviationAudit get_deviation_audit(SnapshotReader& reader);
+/// The audit as the session checkpoint embeds it.
+template <class Io, FieldsOf<DeviationAudit> Self>
+void fields(Io& io, Self& audit) {
+  io.boolean(audit.attacked);
+  io.f64(audit.analytic_accuracy);
+  io.f64(audit.measured_accuracy);
+  io.f64(audit.accuracy_ratio);
+  io.u64(audit.attacked_updates);
+  io.u64(audit.rejected_updates);
+  io.u64(audit.clipped_updates);
+  io.f64(audit.attacker_influence);
+  io.boolean(audit.ir_empirical);
+  io.f64(audit.min_honest_payoff);
+  io.boolean(audit.bb_empirical);
+  io.f64(audit.redistribution_sum);
+  io.boolean(audit.ce_empirical);
+  io.seq(audit.silos);
+}
 
 /// Runs the audit over a finished training run. `properties` is the analytic
 /// property report from the same session (its CE verdict is inherited);

@@ -20,6 +20,16 @@ struct IterationRecord {
   game::StrategyProfile profile;
 };
 
+template <class Io, FieldsOf<IterationRecord> Self>
+void fields(Io& io, Self& record) {
+  io.i64(record.iteration);
+  io.f64(record.potential);
+  io.f64(record.paper_potential);
+  io.f64(record.welfare);
+  io.seq(record.payoffs);
+  io.seq(record.profile);
+}
+
 /// Final solution of a scheme run.
 struct Solution {
   game::StrategyProfile profile;
@@ -38,5 +48,15 @@ struct Solution {
     return fallback;
   }
 };
+
+template <class Io, FieldsOf<Solution> Self>
+void fields(Io& io, Self& solution) {
+  io.seq(solution.profile);
+  io.seq(solution.trace);
+  io.boolean(solution.converged);
+  io.i64(solution.iterations);
+  io.f64(solution.solve_seconds);
+  io.seq(solution.diagnostics);
+}
 
 }  // namespace tradefl::core

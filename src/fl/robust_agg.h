@@ -68,10 +68,14 @@ struct AggregatorSpec {
 /// accepted grammar.
 Result<AggregatorSpec> parse_aggregator(const std::string& text);
 
-/// Snapshot codec for the spec — serialized into the FedAvg/FedAsync/session
-/// checkpoints so a resume under a different aggregator fails closed.
-void put_aggregator_spec(SnapshotWriter& writer, const AggregatorSpec& spec);
-[[nodiscard]] AggregatorSpec get_aggregator_spec(SnapshotReader& reader);
+/// Serialized into the FedAvg/FedAsync/session checkpoints so a resume under
+/// a different aggregator fails closed.
+template <class Io, FieldsOf<AggregatorSpec> Self>
+void fields(Io& io, Self& spec) {
+  io.u32(spec.kind, AggregatorKind::kNormClip);
+  io.u64(spec.trim);
+  io.f64(spec.clip_norm);
+}
 
 /// One survivor update entering aggregation. `weight` is the Eq. (3)
 /// aggregation mass d_i |S_i|; `client` is the original client index (kept so

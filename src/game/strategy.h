@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace tradefl::game {
@@ -18,6 +19,12 @@ struct Strategy {
 
   friend bool operator==(const Strategy&, const Strategy&) = default;
 };
+
+template <class Io, FieldsOf<Strategy> Self>
+void fields(Io& io, Self& strategy) {
+  io.f64(strategy.data_fraction);
+  io.u64(strategy.freq_index);
+}
 
 /// One strategy per organization (π in the paper).
 using StrategyProfile = std::vector<Strategy>;

@@ -42,9 +42,9 @@ SnapshotWriter sample_payload() {
   writer.put_f64(-0.0);
   writer.put_string("TradeFL");
   writer.put_bytes({0x00, 0xFF, 0x10});
-  writer.put_f32s({0.25f, std::numeric_limits<float>::quiet_NaN()});
-  writer.put_f64s({1e-300, 2.5});
-  writer.put_u64s({1, 2, 3});
+  writer.seq(std::vector<float>{0.25f, std::numeric_limits<float>::quiet_NaN()});
+  writer.seq(std::vector<double>{1e-300, 2.5});
+  writer.seq(std::vector<std::uint64_t>{1, 2, 3});
   return writer;
 }
 
@@ -69,12 +69,17 @@ TEST(Snapshot, WriterReaderRoundTripsEveryFieldType) {
   EXPECT_TRUE(std::signbit(negative_zero));  // bit-exact, not value-equal
   EXPECT_EQ(reader.get_string(), "TradeFL");
   EXPECT_EQ(reader.get_bytes(), (std::vector<std::uint8_t>{0x00, 0xFF, 0x10}));
-  const std::vector<float> floats = reader.get_f32s();
+  std::vector<float> floats;
+  reader.seq(floats);
   ASSERT_EQ(floats.size(), 2u);
   EXPECT_EQ(floats[0], 0.25f);
   EXPECT_TRUE(std::isnan(floats[1]));  // NaN payloads survive
-  EXPECT_EQ(reader.get_f64s(), (std::vector<double>{1e-300, 2.5}));
-  EXPECT_EQ(reader.get_u64s(), (std::vector<std::uint64_t>{1, 2, 3}));
+  std::vector<double> doubles;
+  reader.seq(doubles);
+  EXPECT_EQ(doubles, (std::vector<double>{1e-300, 2.5}));
+  std::vector<std::uint64_t> words;
+  reader.seq(words);
+  EXPECT_EQ(words, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(reader.remaining(), 0u);
   EXPECT_NO_THROW(reader.require_exhausted());
 }

@@ -135,9 +135,10 @@ TEST(DeviationAudit, SnapshotCodecRoundTrips) {
       audit_deviation(fixture.game, fixture.mechanism, fixture.properties, training, faults);
 
   SnapshotWriter writer;
-  put_deviation_audit(writer, audit);
+  fields(writer, audit);
   SnapshotReader reader(writer.payload());
-  const DeviationAudit decoded = get_deviation_audit(reader);
+  DeviationAudit decoded;
+  fields(reader, decoded);
   reader.require_exhausted();
 
   EXPECT_EQ(decoded.attacked, audit.attacked);

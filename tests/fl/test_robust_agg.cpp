@@ -81,9 +81,11 @@ TEST(RobustAggCodec, RoundTripsAndFailsClosedOnBadKind) {
   spec.trim = 3;
   spec.clip_norm = 0.25;
   SnapshotWriter writer;
-  put_aggregator_spec(writer, spec);
+  fields(writer, spec);
   SnapshotReader reader(writer.payload());
-  EXPECT_EQ(get_aggregator_spec(reader), spec);
+  AggregatorSpec decoded;
+  fields(reader, decoded);
+  EXPECT_EQ(decoded, spec);
   reader.require_exhausted();
 
   SnapshotWriter bad;
@@ -91,7 +93,7 @@ TEST(RobustAggCodec, RoundTripsAndFailsClosedOnBadKind) {
   bad.put_u64(1);
   bad.put_f64(1.0);
   SnapshotReader bad_reader(bad.payload());
-  EXPECT_THROW((void)get_aggregator_spec(bad_reader), SnapshotError);
+  EXPECT_THROW(fields(bad_reader, decoded), SnapshotError);
 }
 
 // ---- rule semantics ----

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 namespace tradefl::game {
 namespace {
@@ -14,6 +15,11 @@ struct ModelCase {
   std::string name;
   AccuracyModelPtr model;
 };
+
+// gtest bakes a parameter's printed value into the ctest name; without this
+// it prints ModelCase's raw bytes, heap pointer included, which changes with
+// every build under ASLR.
+void PrintTo(const ModelCase& model, std::ostream* os) { *os << model.name; }
 
 class AccuracyModelProperties : public ::testing::TestWithParam<ModelCase> {};
 

@@ -88,9 +88,9 @@ TEST_F(ToolCli, AnalyzeCleanTreeExitsZero) {
 }
 
 TEST_F(ToolCli, AnalyzeFindingExitsOneInEveryFormat) {
-  write("audit.cpp",
-        "void write_audit(SnapshotWriter& writer, const Audit& audit) {\n"
-        "  writer.put_u64(audit.seq);\n"
+  write("race.cpp",
+        "void sum(tradefl::ThreadPool* pool, double& acc) {\n"
+        "  run_chunks(pool, 4, [&](std::size_t c, std::size_t) { acc += c; });\n"
         "}\n");
   for (const char* format : {"text", "json", "sarif"}) {
     EXPECT_EQ(run(std::string(TFL_ANALYZE_BIN) + " --format " + format + " " + dir_.string()), 1)
@@ -99,23 +99,23 @@ TEST_F(ToolCli, AnalyzeFindingExitsOneInEveryFormat) {
 }
 
 TEST_F(ToolCli, AnalyzeBaselineSuppressesToZero) {
-  write("audit.cpp",
-        "void write_audit(SnapshotWriter& writer, const Audit& audit) {\n"
-        "  writer.put_u64(audit.seq);\n"
+  write("race.cpp",
+        "void sum(tradefl::ThreadPool* pool, double& acc) {\n"
+        "  run_chunks(pool, 4, [&](std::size_t c, std::size_t) { acc += c; });\n"
         "}\n");
   const fs::path baseline =
-      write("baseline.txt", "schema-unpaired audit.cpp  # write-only audit trail\n");
+      write("baseline.txt", "parallel-capture race.cpp  # reviewed: serial pool\n");
   EXPECT_EQ(run(std::string(TFL_ANALYZE_BIN) + " --baseline " + baseline.string() + " " +
                 dir_.string()),
             0);
 }
 
 TEST_F(ToolCli, AnalyzeBaselineWithoutJustificationExitsTwo) {
-  write("audit.cpp",
-        "void write_audit(SnapshotWriter& writer, const Audit& audit) {\n"
-        "  writer.put_u64(audit.seq);\n"
+  write("race.cpp",
+        "void sum(tradefl::ThreadPool* pool, double& acc) {\n"
+        "  run_chunks(pool, 4, [&](std::size_t c, std::size_t) { acc += c; });\n"
         "}\n");
-  const fs::path baseline = write("baseline.txt", "schema-unpaired audit.cpp\n");
+  const fs::path baseline = write("baseline.txt", "parallel-capture race.cpp\n");
   EXPECT_EQ(run(std::string(TFL_ANALYZE_BIN) + " --baseline " + baseline.string() + " " +
                 dir_.string()),
             2);

@@ -211,9 +211,6 @@ const std::vector<tfl_tools::RuleInfo>& rule_catalog() {
        "*_rng stream factory"},
       {"unordered-hash-iter",
        "iteration over std::unordered_* whose body feeds hashing/serialization"},
-      {"schema-drift",
-       "paired snapshot writer/reader op sequences disagree (count/type/order)"},
-      {"schema-unpaired", "codec writer or reader with no counterpart to check against"},
       {"obs-vocab", "TFL_* metric/span name missing from the registered vocabulary"},
       {"obs-orphan", "vocabulary entry matching no TFL_* site in the scanned tree"},
   };
@@ -239,7 +236,6 @@ Analysis analyze(const std::vector<SourceFile>& files, const Options& options,
   for (std::vector<tfl_tools::Finding>& findings : per_file) {
     out.findings.insert(out.findings.end(), findings.begin(), findings.end());
   }
-  check_schema(lexed, out);
   check_vocab(lexed, options, out.findings);
   std::sort(out.findings.begin(), out.findings.end(), tfl_tools::finding_before);
   return out;

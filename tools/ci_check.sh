@@ -229,6 +229,15 @@ if [ "$run_sanitizers" -eq 1 ]; then
   ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
         -R 'KillResume|Snapshot|ChainWal|ChainState|Checkpoint|Session\.C'
 
+  echo "=== ci: snapshot-codec suite (asan-ubsan) ==="
+  # Persisted-format gate: the golden bytes of every format (FL checkpoints,
+  # CGBD cuts, session and registry snapshots, chain state, WAL frames,
+  # contract state, tx/block-header hash preimages, ABI), the codec round
+  # trips, the fail-closed decoders (oversized fixed fields, hostile counts,
+  # out-of-range enums and bools) and the kill-and-resume contract.
+  ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
+        -R 'GoldenBytes|CodecFailClosed|RoundTrip|KillResume'
+
   echo "=== ci: equilibrium-oracle suite (asan-ubsan) ==="
   # Bit-identity gate for the NE check and best responses: the deviation
   # evaluator against the full-profile oracle (tests/core/payoff_oracle.h),

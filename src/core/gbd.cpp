@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -111,29 +112,14 @@ PrimalSolve GbdSolver::solve_primal_impl(const std::vector<std::size_t>& freq_in
   }
 
   // Barrier objective: the exact potential U(d, f) at the fixed frequencies.
+  const game::FixedFrequencyPotential potential(game_, freq_indices);
   math::SmoothObjective objective;
-  StrategyProfile scratch = to_profile(Vec(n, d_min), freq_indices);
-  objective.value = [this, &scratch, &freq_indices, poison](const Vec& d) {
-    if (poison) return std::numeric_limits<double>::quiet_NaN();
-    for (std::size_t i = 0; i < d.size(); ++i) scratch[i].data_fraction = d[i];
-    return game::potential(game_, scratch);
+  objective.value = [&potential, poison](const Vec& d) {
+    return poison ? std::numeric_limits<double>::quiet_NaN() : potential.value(d);
   };
-  objective.gradient = [this, &scratch](const Vec& d) {
-    for (std::size_t i = 0; i < d.size(); ++i) scratch[i].data_fraction = d[i];
-    Vec grad(d.size());
-    for (OrgId i = 0; i < d.size(); ++i) {
-      grad[i] = game::potential_gradient_d(game_, scratch, i);
-    }
-    return grad;
-  };
-  objective.hessian = [this, &scratch](const Vec& d) {
-    for (std::size_t i = 0; i < d.size(); ++i) scratch[i].data_fraction = d[i];
-    // Rank-one: P''(Ω) w w^T.
-    Vec weights(d.size());
-    for (OrgId i = 0; i < d.size(); ++i) weights[i] = game_.contribution_weight(i);
-    const double curvature =
-        game_.accuracy().performance_second_derivative(game_.omega(scratch));
-    return math::Matrix::outer(weights, curvature);
+  objective.gradient = [&potential](const Vec& d, Vec& out) { potential.gradient(d, out); };
+  objective.hessian = [&potential](const Vec& d, math::Matrix& out) {
+    potential.hessian(d, out);
   };
 
   math::BoxBounds box{Vec(n, d_min), Vec(n, 1.0)};
@@ -152,12 +138,11 @@ PrimalSolve GbdSolver::solve_primal_impl(const std::vector<std::size_t>& freq_in
     inequalities.b[i] = game_.params().tau - org.download_time - org.upload_time;
   }
 
-  Vec start(n, d_min);
-  const auto barrier = math::maximize_with_barrier(objective, box, inequalities, start,
-                                                   barrier_options);
+  auto barrier = math::maximize_with_barrier(objective, box, inequalities, Vec(n, d_min),
+                                             barrier_options);
   result.feasible = true;
-  result.d = barrier.x;
-  result.multipliers = barrier.multipliers;
+  result.d = std::move(barrier.x);
+  result.multipliers = std::move(barrier.multipliers);
   result.value = barrier.value;
   return result;
 }

@@ -2,30 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace tradefl::game {
 namespace {
 
-/// χ_i = d_i s_i + λ f_i — the "contributed resources" scalar of Eq. (9).
-double resource_contribution(const CoopetitionGame& game, const StrategyProfile& profile,
-                             OrgId i) {
-  return profile[i].data_fraction * game.org(i).data_size_bits +
-         game.params().lambda * game.frequency(i, profile[i]);
-}
-
-double weighted_energy_sum(const CoopetitionGame& game, const StrategyProfile& profile) {
-  const GameParams& params = game.params();
-  double total = 0.0;
-  for (std::size_t i = 0; i < game.size(); ++i) {
-    const Organization& org = game.org(i);
-    const double f = game.frequency(i, profile[i]);
-    const double comp_energy = params.kappa * f * f * org.cycles_per_bit *
-                               profile[i].data_fraction * org.data_size_bits;
-    total += params.omega_e * comp_energy / game.weight_z(i);
-  }
-  return total;
+math::Vec data_fractions(const StrategyProfile& profile) {
+  math::Vec d(profile.size());
+  for (std::size_t i = 0; i < profile.size(); ++i) d[i] = profile[i].data_fraction;
+  return d;
 }
 
 using Checker = double (*)(const CoopetitionGame&, const StrategyProfile&);
@@ -64,20 +52,102 @@ PotentialIdentityCheck run_identity_check(const CoopetitionGame& game,
 
 }  // namespace
 
-double potential(const CoopetitionGame& game, const StrategyProfile& profile) {
+FixedFrequencyPotential::FixedFrequencyPotential(const CoopetitionGame& game,
+                                                 std::size_t size)
+    : game_(&game), terms_(game.size()) {
+  if (size != game.size()) throw std::invalid_argument("game: profile size mismatch");
+}
+
+FixedFrequencyPotential::FixedFrequencyPotential(const CoopetitionGame& game,
+                                                 const std::vector<std::size_t>& freq_indices)
+    : FixedFrequencyPotential(game, freq_indices.size()) {
+  for (OrgId i = 0; i < terms_.size(); ++i) set_level(i, freq_indices[i]);
+}
+
+FixedFrequencyPotential::FixedFrequencyPotential(const CoopetitionGame& game,
+                                                 const StrategyProfile& profile)
+    : FixedFrequencyPotential(game, profile.size()) {
+  for (OrgId i = 0; i < terms_.size(); ++i) set_level(i, profile[i].freq_index);
+}
+
+void FixedFrequencyPotential::set_level(OrgId i, std::size_t level) {
+  const CoopetitionGame& game = *game_;
   const GameParams& params = game.params();
-  double value = game.accuracy().performance(game.omega(profile));
-  value -= weighted_energy_sum(game, profile);
-  for (std::size_t i = 0; i < game.size(); ++i) {
-    value += params.gamma * game.rho().row_sum(i) * resource_contribution(game, profile, i) /
-             game.weight_z(i);
+  const Organization& org = game.org(i);
+  const double f = org.freq_levels.at(level);
+  const double z = game.weight_z(i);
+  const double row_sum = game.rho().row_sum(i);
+  OrgTerms& terms = terms_[i];
+  terms.weight = game.contribution_weight(i);
+  terms.data_size = org.data_size_bits;
+  terms.weight_z = z;
+  terms.energy_factor = params.kappa * f * f * org.cycles_per_bit;
+  terms.gamma_rho = params.gamma * row_sum;
+  terms.lambda_f = params.lambda * f;
+  terms.energy_slope =
+      params.omega_e * params.kappa * f * f * org.cycles_per_bit * org.data_size_bits / z;
+  terms.redistribution_slope = params.gamma * org.data_size_bits * row_sum / z;
+}
+
+double FixedFrequencyPotential::omega(const math::Vec& d) const {
+  TFL_ASSERT(d.size() == terms_.size(), "potential: ", d.size(), " fractions for ",
+             terms_.size(), " organizations");
+  double total = 0.0;
+  for (std::size_t i = 0; i < terms_.size(); ++i) total += d[i] * terms_[i].weight;
+  return total;
+}
+
+double FixedFrequencyPotential::energy(const math::Vec& d) const {
+  const double omega_e = game_->params().omega_e;
+  double total = 0.0;
+  for (std::size_t i = 0; i < terms_.size(); ++i) {
+    const OrgTerms& terms = terms_[i];
+    const double comp_energy = terms.energy_factor * d[i] * terms.data_size;
+    total += omega_e * comp_energy / terms.weight_z;
+  }
+  return total;
+}
+
+double FixedFrequencyPotential::value(const math::Vec& d) const {
+  double value = game_->accuracy().performance(omega(d));
+  value -= energy(d);
+  for (std::size_t i = 0; i < terms_.size(); ++i) {
+    const OrgTerms& terms = terms_[i];
+    // γ Σ_j ρ_{i,j} χ_i / z_i with χ_i = d_i s_i + λ f_i.
+    value += terms.gamma_rho * (d[i] * terms.data_size + terms.lambda_f) / terms.weight_z;
   }
   return value;
 }
 
+void FixedFrequencyPotential::gradient(const math::Vec& d, math::Vec& out) const {
+  TFL_ASSERT(out.size() == terms_.size(), "potential: gradient buffer of ", out.size());
+  const double p_slope = game_->accuracy().performance_derivative(omega(d));
+  for (std::size_t i = 0; i < terms_.size(); ++i) {
+    const OrgTerms& terms = terms_[i];
+    out[i] = p_slope * terms.weight - terms.energy_slope + terms.redistribution_slope;
+  }
+}
+
+void FixedFrequencyPotential::hessian(const math::Vec& d, math::Matrix& out) const {
+  TFL_ASSERT(out.rows() == terms_.size() && out.cols() == terms_.size(),
+             "potential: Hessian buffer of ", out.rows(), "x", out.cols());
+  const double curvature = game_->accuracy().performance_second_derivative(omega(d));
+  for (std::size_t i = 0; i < terms_.size(); ++i) {
+    for (std::size_t j = 0; j < terms_.size(); ++j) {
+      out.at(i, j) = curvature * terms_[i].weight * terms_[j].weight;
+    }
+  }
+}
+
+double potential(const CoopetitionGame& game, const StrategyProfile& profile) {
+  return FixedFrequencyPotential(game, profile).value(data_fractions(profile));
+}
+
 double paper_potential(const CoopetitionGame& game, const StrategyProfile& profile) {
-  double value = game.accuracy().performance(game.omega(profile));
-  value -= weighted_energy_sum(game, profile);
+  const FixedFrequencyPotential evaluator(game, profile);
+  const math::Vec d = data_fractions(profile);
+  double value = game.accuracy().performance(evaluator.omega(d));
+  value -= evaluator.energy(d);
   for (std::size_t i = 0; i < game.size(); ++i) {
     value += game.redistribution(i, profile) / game.weight_z(i);
   }
@@ -86,22 +156,16 @@ double paper_potential(const CoopetitionGame& game, const StrategyProfile& profi
 
 double potential_gradient_d(const CoopetitionGame& game, const StrategyProfile& profile,
                             OrgId i) {
-  const GameParams& params = game.params();
-  const Organization& org = game.org(i);
-  const double w_i = game.contribution_weight(i);
-  const double f = game.frequency(i, profile[i]);
-
-  double gradient = game.accuracy().performance_derivative(game.omega(profile)) * w_i;
-  gradient -= params.omega_e * params.kappa * f * f * org.cycles_per_bit * org.data_size_bits /
-              game.weight_z(i);
-  gradient += params.gamma * org.data_size_bits * game.rho().row_sum(i) / game.weight_z(i);
-  return gradient;
+  math::Vec gradient(game.size());
+  FixedFrequencyPotential(game, profile).gradient(data_fractions(profile), gradient);
+  return gradient.at(i);
 }
 
 double potential_hessian_dd(const CoopetitionGame& game, const StrategyProfile& profile,
                             OrgId i, OrgId j) {
-  return game.accuracy().performance_second_derivative(game.omega(profile)) *
-         game.contribution_weight(i) * game.contribution_weight(j);
+  math::Matrix hessian(game.size(), game.size());
+  FixedFrequencyPotential(game, profile).hessian(data_fractions(profile), hessian);
+  return hessian.at(i, j);
 }
 
 PotentialIdentityCheck check_weighted_potential_identity(const CoopetitionGame& game,

@@ -15,11 +15,76 @@
 //            + γ Σ_i (Σ_j ρ_{i,j}) χ_i / z_i
 //    satisfies z_i ΔU = ΔC_i *exactly* for any unilateral deviation. This is
 //    the function CGBD maximizes. See DESIGN.md §7.
+//
+// FixedFrequencyPotential is the one implementation of the exact potential:
+// `potential`, its derivatives and the energy term of `paper_potential` are
+// thin calls into it.
 #pragma once
 
+#include <vector>
+
 #include "game/game.h"
+#include "math/matrix.h"
+#include "math/vec.h"
 
 namespace tradefl::game {
+
+/// The exact potential U(d, f) with every frequency level fixed, as a
+/// function of the data fractions d alone — the objective of the GBD primal
+/// (19). Construction hoists each organization's frequency-only factors
+/// (w_i, κ f_i² η_i, γ Σ_j ρ_{i,j}, λ f_i and the two constant terms of
+/// ∂U/∂d_i), each computed in the same left-to-right order as the direct
+/// expression, so every result is bit-identical to summing the formula over
+/// a full profile. Then value() and gradient() cost one Ω pass and one
+/// accuracy evaluation each: O(N), no allocation. Borrows the game, which
+/// must outlive the evaluator.
+class FixedFrequencyPotential {
+ public:
+  /// Frequencies from one level per organization; throws
+  /// std::invalid_argument on a size mismatch and std::out_of_range on a
+  /// level outside an organization's grid.
+  FixedFrequencyPotential(const CoopetitionGame& game,
+                          const std::vector<std::size_t>& freq_indices);
+  /// Frequencies from the profile's levels (its data fractions are ignored).
+  FixedFrequencyPotential(const CoopetitionGame& game, const StrategyProfile& profile);
+
+  /// Ω(d) = Σ_i d_i w_i, summed in index order as CoopetitionGame::omega.
+  [[nodiscard]] double omega(const math::Vec& d) const;
+
+  /// Σ_i ϖ_e κ f_i² η_i d_i s_i / z_i — the weighted energy term.
+  [[nodiscard]] double energy(const math::Vec& d) const;
+
+  /// U(d, f).
+  [[nodiscard]] double value(const math::Vec& d) const;
+
+  /// out_i = ∂U/∂d_i = P'(Ω) w_i - ϖ_e κ f_i² η_i s_i / z_i
+  ///                   + γ s_i Σ_j ρ_{i,j} / z_i;
+  /// `out` must already hold one entry per organization.
+  void gradient(const math::Vec& d, math::Vec& out) const;
+
+  /// out = P''(Ω) w w^T, the (rank-one) Hessian in d; `out` must already be
+  /// N x N.
+  void hessian(const math::Vec& d, math::Matrix& out) const;
+
+ private:
+  /// Frequency-only factors of one organization.
+  struct OrgTerms {
+    double weight = 0.0;               // w_i = s_i / data_scale
+    double data_size = 0.0;            // s_i
+    double weight_z = 0.0;             // z_i
+    double energy_factor = 0.0;        // κ f_i² η_i
+    double gamma_rho = 0.0;            // γ Σ_j ρ_{i,j}
+    double lambda_f = 0.0;             // λ f_i
+    double energy_slope = 0.0;         // ϖ_e κ f_i² η_i s_i / z_i
+    double redistribution_slope = 0.0; // γ s_i Σ_j ρ_{i,j} / z_i
+  };
+
+  FixedFrequencyPotential(const CoopetitionGame& game, std::size_t size);
+  void set_level(OrgId i, std::size_t level);
+
+  const CoopetitionGame* game_;
+  std::vector<OrgTerms> terms_;
+};
 
 /// Exact weighted potential (satisfies Eq. 14 identically).
 double potential(const CoopetitionGame& game, const StrategyProfile& profile);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -14,9 +15,25 @@ namespace {
 
 constexpr double kFeasibilityMargin = 1e-9;
 
+/// The buffers one solve's Newton steps work in, sized once.
+struct NewtonWorkspace {
+  NewtonWorkspace(std::size_t dim, std::size_t rows)
+      : grad(dim), phi_grad(dim), step(dim), candidate(dim), ad(rows),
+        phi_hess(dim, dim), factor(dim, dim) {}
+
+  Vec grad;         // g'(d)
+  Vec phi_grad;     // phi_t'(d)
+  Vec step;         // -phi_t'(d), then the Newton step solved in place
+  Vec candidate;    // line-search trial point
+  Vec ad;           // A d
+  Matrix phi_hess;  // g''(d), then phi_t''(d) in place
+  Matrix factor;    // Cholesky factor of phi_hess + ridge I
+};
+
 /// Barrier value of phi_t at d; +inf when d leaves the strict interior.
+/// `ad` is scratch for A d.
 double barrier_phi(const SmoothObjective& objective, const BoxBounds& box,
-                   const LinearInequalities& ineq, const Vec& d, double t) {
+                   const LinearInequalities& ineq, const Vec& d, double t, Vec& ad) {
   // Check strict feasibility BEFORE touching the objective: line-search
   // candidates may leave the domain where the objective is defined.
   double barrier_terms = 0.0;
@@ -29,7 +46,7 @@ double barrier_phi(const SmoothObjective& objective, const BoxBounds& box,
     barrier_terms -= std::log(low_slack) + std::log(high_slack);
   }
   if (ineq.count() > 0) {
-    const Vec ad = ineq.a.multiply(d);
+    ineq.a.multiply(d, ad);
     for (std::size_t i = 0; i < ineq.count(); ++i) {
       const double slack = ineq.b[i] - ad[i];
       if (slack <= 0.0) return std::numeric_limits<double>::infinity();
@@ -61,6 +78,8 @@ BarrierResult maximize_with_barrier(const SmoothObjective& objective,
     throw std::invalid_argument("barrier: inequality shape mismatch");
   }
 
+  NewtonWorkspace ws(dim, inequalities.count());
+
   // Pull the start strictly inside the box.
   for (std::size_t i = 0; i < dim; ++i) {
     const double width = box.upper[i] - box.lower[i];
@@ -72,9 +91,9 @@ BarrierResult maximize_with_barrier(const SmoothObjective& objective,
   // the lower corner is the most feasible point; fail if even that violates).
   if (inequalities.count() > 0) {
     auto strictly_feasible = [&](const Vec& d) {
-      const Vec ad = inequalities.a.multiply(d);
+      inequalities.a.multiply(d, ws.ad);
       for (std::size_t i = 0; i < inequalities.count(); ++i) {
-        if (!(ad[i] < inequalities.b[i])) return false;
+        if (!(ws.ad[i] < inequalities.b[i])) return false;
       }
       return true;
     };
@@ -107,86 +126,88 @@ BarrierResult maximize_with_barrier(const SmoothObjective& objective,
 
   const std::size_t constraint_count = 2 * dim + inequalities.count();
   BarrierResult result;
-  result.x = start;
+  result.x = std::move(start);
   double t = options.initial_t;
   int total_newton = 0;
 
   for (int stage = 0; stage < options.max_stages; ++stage) {
+    // phi_t at result.x, known once a line search of this stage accepted it.
+    double phi_now = 0.0;
+    bool phi_known = false;
     // --- Newton's method on phi_t. ---
     for (int it = 0; it < options.max_newton_per_stage; ++it) {
       ++total_newton;
       const Vec& d = result.x;
-      Vec grad = objective.gradient(d);
-      Matrix hess = objective.hessian(d);
+      objective.gradient(d, ws.grad);
+      objective.hessian(d, ws.phi_hess);
       // A NaN here silently corrupts the Newton system; sum() propagates any
       // NaN/Inf element (norm_inf would mask NaN via std::max ordering).
-      TFL_FINITE(sum(grad));
-      // phi gradient: -t*g' + barrier terms.
-      Vec phi_grad(dim);
-      Matrix phi_hess = hess.scaled(-t);
+      TFL_FINITE(sum(ws.grad));
+      // phi gradient: -t*g' + barrier terms; phi Hessian: -t*g'' + barrier terms.
+      ws.phi_hess.scale_in_place(-t);
       for (std::size_t i = 0; i < dim; ++i) {
         const double low_slack = d[i] - box.lower[i];
         const double high_slack = box.upper[i] - d[i];
-        phi_grad[i] = -t * grad[i] - 1.0 / low_slack + 1.0 / high_slack;
-        phi_hess.at(i, i) += 1.0 / (low_slack * low_slack) + 1.0 / (high_slack * high_slack);
+        ws.phi_grad[i] = -t * ws.grad[i] - 1.0 / low_slack + 1.0 / high_slack;
+        ws.phi_hess.at(i, i) +=
+            1.0 / (low_slack * low_slack) + 1.0 / (high_slack * high_slack);
       }
       if (inequalities.count() > 0) {
-        const Vec ad = inequalities.a.multiply(d);
+        inequalities.a.multiply(d, ws.ad);
         for (std::size_t r = 0; r < inequalities.count(); ++r) {
-          const double slack = inequalities.b[r] - ad[r];
+          const double slack = inequalities.b[r] - ws.ad[r];
           const double inv = 1.0 / slack;
           for (std::size_t i = 0; i < dim; ++i) {
             const double ari = inequalities.a.at(r, i);
             if (ari == 0.0) continue;
-            phi_grad[i] += ari * inv;
+            ws.phi_grad[i] += ari * inv;
             for (std::size_t j = 0; j < dim; ++j) {
               const double arj = inequalities.a.at(r, j);
-              if (arj != 0.0) phi_hess.at(i, j) += ari * arj * inv * inv;
+              if (arj != 0.0) ws.phi_hess.at(i, j) += ari * arj * inv * inv;
             }
           }
         }
       }
 
-      // Newton step with progressive ridge regularization.
-      Vec step;
+      // Newton step with progressive ridge regularization, solved in place
+      // over the right-hand side -phi_grad (a failed factorization leaves it).
+      for (std::size_t i = 0; i < dim; ++i) ws.step[i] = -ws.phi_grad[i];
       bool solved = false;
       {
         TFL_SCOPED_TIMER("solver.factorize.seconds");
         for (double ridge = 0.0; ridge < 1e9;
              ridge = (ridge == 0.0 ? 1e-10 : ridge * 100.0)) {
-          try {
-            step = phi_hess.solve_spd(scale(phi_grad, -1.0), ridge);
+          if (ws.phi_hess.try_solve_spd(ws.step, ridge, ws.factor, ws.step)) {
             solved = true;
             break;
-          } catch (const std::runtime_error&) {
-            continue;
           }
         }
       }
       if (!solved) throw std::runtime_error("barrier: Newton system unsolvable");
-      TFL_FINITE(sum(step));
+      TFL_FINITE(sum(ws.step));
 
-      // Newton decrement^2 = grad^T H^-1 grad = -step . grad (step = -H^-1 grad).
-      const double lambda_sq = -dot(step, phi_grad);
+      // Newton decrement^2 = grad^T H^-1 grad = -step . grad (step = -H^-1 grad);
+      // grad . step is also the line search's directional derivative.
+      const double directional = dot(ws.phi_grad, ws.step);
+      const double lambda_sq = -directional;
       if (lambda_sq / 2.0 <= options.newton_tol) break;
 
       // Backtracking line search keeping strict feasibility.
-      const double phi_now = barrier_phi(objective, box, inequalities, d, t);
+      if (!phi_known) phi_now = barrier_phi(objective, box, inequalities, d, t, ws.ad);
       double step_size = 1.0;
-      Vec candidate(dim);
+      double phi_candidate = 0.0;
       int backtracks = 0;
       for (; backtracks < 80; ++backtracks) {
-        for (std::size_t i = 0; i < dim; ++i) candidate[i] = d[i] + step_size * step[i];
-        const double phi_candidate = barrier_phi(objective, box, inequalities, candidate, t);
-        if (phi_candidate <=
-            phi_now + options.line_search_slope * step_size * dot(phi_grad, step)) {
-          break;
-        }
+        for (std::size_t i = 0; i < dim; ++i) ws.candidate[i] = d[i] + step_size * ws.step[i];
+        phi_candidate = barrier_phi(objective, box, inequalities, ws.candidate, t, ws.ad);
+        if (phi_candidate <= phi_now + options.line_search_slope * step_size * directional) break;
         step_size *= options.line_search_backtrack;
       }
       TFL_COUNTER_ADD("solver.linesearch.backtracks", backtracks);
-      const double movement = step_size * norm_inf(step);
-      result.x = candidate;
+      const double movement = step_size * norm_inf(ws.step);
+      std::swap(result.x, ws.candidate);
+      phi_now = phi_candidate;
+      phi_known = true;
       if (movement < 1e-15) break;
     }
 
@@ -202,7 +223,7 @@ BarrierResult maximize_with_barrier(const SmoothObjective& objective,
   TFL_COUNTER_ADD("solver.newton.iterations", total_newton);
   result.value = objective.value(result.x);
   // Always-on exit contract: a NaN objective/gradient corrupts the iterate
-  // silently (NaN fails the `diag <= 0.0` SPD test inside solve_spd, so the
+  // silently (NaN fails the `diag <= 0.0` SPD test inside try_solve_spd, so the
   // factorization "succeeds" and the poisoned step is accepted). Every
   // downstream quantity — cuts, payoffs, welfare — would inherit the NaN.
   TFL_CHECK(std::isfinite(sum(result.x)) && std::isfinite(result.value),
@@ -211,9 +232,9 @@ BarrierResult maximize_with_barrier(const SmoothObjective& objective,
   // Multiplier recovery for the linear constraints at the final t.
   if (inequalities.count() > 0) {
     result.multipliers.assign(inequalities.count(), 0.0);
-    const Vec ad = inequalities.a.multiply(result.x);
+    inequalities.a.multiply(result.x, ws.ad);
     for (std::size_t r = 0; r < inequalities.count(); ++r) {
-      const double slack = inequalities.b[r] - ad[r];
+      const double slack = inequalities.b[r] - ws.ad[r];
       result.multipliers[r] = 1.0 / (t * std::max(slack, 1e-300));
     }
   }

@@ -18,15 +18,13 @@ SmoothObjective quadratic_objective(const Vec& center) {
     for (std::size_t i = 0; i < x.size(); ++i) total -= (x[i] - center[i]) * (x[i] - center[i]);
     return total;
   };
-  objective.gradient = [center](const Vec& x) {
-    Vec grad(x.size());
+  objective.gradient = [center](const Vec& x, Vec& grad) {
     for (std::size_t i = 0; i < x.size(); ++i) grad[i] = -2.0 * (x[i] - center[i]);
-    return grad;
   };
-  objective.hessian = [](const Vec& x) {
-    Matrix h(x.size(), x.size());
-    h.add_diagonal(-2.0);
-    return h;
+  objective.hessian = [](const Vec& x, Matrix& h) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      for (std::size_t j = 0; j < x.size(); ++j) h.at(i, j) = i == j ? -2.0 : 0.0;
+    }
   };
   return objective;
 }
@@ -89,21 +87,22 @@ TEST(Barrier, RankOneHessianObjective) {
   const Vec c{0.05, 0.05};
   SmoothObjective objective;
   objective.value = [&](const Vec& x) { return std::sqrt(1.0 + dot(w, x)) - dot(c, x); };
-  objective.gradient = [&](const Vec& x) {
+  objective.gradient = [&](const Vec& x, Vec& grad) {
     const double root = std::sqrt(1.0 + dot(w, x));
-    Vec grad(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) grad[i] = 0.5 * w[i] / root - c[i];
-    return grad;
   };
-  objective.hessian = [&](const Vec& x) {
-    const double base = 1.0 + dot(w, x);
-    return Matrix::outer(w, -0.25 * std::pow(base, -1.5));
+  objective.hessian = [&](const Vec& x, Matrix& h) {
+    const double factor = -0.25 * std::pow(1.0 + dot(w, x), -1.5);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      for (std::size_t j = 0; j < x.size(); ++j) h.at(i, j) = factor * w[i] * w[j];
+    }
   };
   const auto result = maximize_with_barrier(objective, {Vec{0.0, 0.0}, Vec{10.0, 10.0}},
                                             LinearInequalities{}, Vec{1.0, 1.0});
   EXPECT_TRUE(result.converged);
   // Verify stationarity: projected gradient ~ 0 at interior coordinates.
-  const Vec grad = objective.gradient(result.x);
+  Vec grad(result.x.size());
+  objective.gradient(result.x, grad);
   for (std::size_t i = 0; i < grad.size(); ++i) {
     if (result.x[i] > 1e-3 && result.x[i] < 10.0 - 1e-3) {
       EXPECT_NEAR(grad[i], 0.0, 1e-3);
@@ -136,22 +135,20 @@ TEST(Barrier, RejectsDegenerateBox) {
 }
 
 TEST(Barrier, NanObjectiveIsTrappedNotReturned) {
-  // Regression: a NaN gradient used to flow straight through solve_spd (NaN
+  // Regression: a NaN gradient used to flow straight through the Cholesky (NaN
   // fails the `diag <= 0.0` SPD test, so the factorization "succeeded") and
   // out via result.x without any diagnostic. The solver must throw instead
   // of handing back a poisoned iterate.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   SmoothObjective poisoned;
   poisoned.value = [nan](const Vec&) { return nan; };
-  poisoned.gradient = [nan](const Vec& x) {
-    Vec grad(x.size());
+  poisoned.gradient = [nan](const Vec& x, Vec& grad) {
     for (std::size_t i = 0; i < x.size(); ++i) grad[i] = nan;
-    return grad;
   };
-  poisoned.hessian = [](const Vec& x) {
-    Matrix h(x.size(), x.size());
-    h.add_diagonal(-1.0);
-    return h;
+  poisoned.hessian = [](const Vec& x, Matrix& h) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      for (std::size_t j = 0; j < x.size(); ++j) h.at(i, j) = i == j ? -1.0 : 0.0;
+    }
   };
   BarrierOptions options;
   options.max_stages = 1;

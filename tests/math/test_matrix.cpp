@@ -2,10 +2,63 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <stdexcept>
+
 #include "common/rng.h"
 
 namespace tradefl::math {
 namespace {
+
+/// The Cholesky solve as it was before the in-place variant: a fresh factor
+/// copy, then separate y and x vectors. try_solve_spd must match it bit for
+/// bit.
+Vec reference_solve_spd(const Matrix& a, const Vec& b, double ridge) {
+  const std::size_t n = a.rows();
+  Matrix chol = a;
+  chol.add_diagonal(ridge);
+  for (std::size_t j = 0; j < n; ++j) {
+    double diag = chol.at(j, j);
+    for (std::size_t k = 0; k < j; ++k) diag -= chol.at(j, k) * chol.at(j, k);
+    if (diag <= 0.0) throw std::runtime_error("reference: not SPD");
+    const double root = std::sqrt(diag);
+    chol.at(j, j) = root;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double value = chol.at(i, j);
+      for (std::size_t k = 0; k < j; ++k) value -= chol.at(i, k) * chol.at(j, k);
+      chol.at(i, j) = value / root;
+    }
+  }
+  Vec y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double total = b[i];
+    for (std::size_t k = 0; k < i; ++k) total -= chol.at(i, k) * y[k];
+    y[i] = total / chol.at(i, i);
+  }
+  Vec x(n);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double total = y[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) total -= chol.at(k, ii) * x[k];
+    x[ii] = total / chol.at(ii, ii);
+  }
+  return x;
+}
+
+bool same_bits(const Vec& a, const Vec& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A random SPD system B B^T + shift I of size n.
+Matrix random_spd(Rng& rng, std::size_t n, double shift) {
+  Matrix base(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) base.at(i, j) = rng.uniform(-1.0, 1.0);
+  }
+  Matrix spd = base.multiply(base.transposed());
+  spd.add_diagonal(shift);
+  return spd;
+}
 
 TEST(Matrix, IdentityMultiply) {
   const Matrix eye = Matrix::identity(3);
@@ -91,6 +144,61 @@ TEST(Matrix, SolveSpdRidgeRegularizes) {
   m.at(0, 0) = 1.0;
   EXPECT_THROW(m.solve_spd({1.0, 1.0}), std::runtime_error);
   EXPECT_NO_THROW(m.solve_spd({1.0, 1.0}, 1e-6));
+}
+
+TEST(Matrix, SolveSpdBitIdenticalToReferenceCholesky) {
+  tradefl::Rng rng(23);
+  for (std::size_t n : {1u, 2u, 5u, 8u, 13u}) {
+    for (double ridge : {0.0, 1e-10, 1e-4}) {
+      const Matrix spd = random_spd(rng, n, 1e-3);
+      Vec b(n);
+      for (double& v : b) v = rng.uniform(-1.0, 1.0);
+      const Vec expected = reference_solve_spd(spd, b, ridge);
+      EXPECT_TRUE(same_bits(expected, spd.solve_spd(b, ridge))) << n << " ridge " << ridge;
+      // Reused, wrongly sized buffers and an aliased right-hand side give
+      // the same bits.
+      Matrix factor(3, 7, 9.0);
+      Vec x(2, 4.0);
+      ASSERT_TRUE(spd.try_solve_spd(b, ridge, factor, x));
+      EXPECT_TRUE(same_bits(expected, x)) << n;
+      Vec in_place = b;
+      ASSERT_TRUE(spd.try_solve_spd(in_place, ridge, factor, in_place));
+      EXPECT_TRUE(same_bits(expected, in_place)) << n;
+    }
+  }
+}
+
+TEST(Matrix, TrySolveSpdReportsIndefiniteAndLeavesSolution) {
+  Matrix m(2, 2);
+  m.at(0, 0) = 1.0;
+  m.at(1, 1) = -1.0;
+  Matrix factor;
+  Vec x{7.0, 8.0};
+  EXPECT_FALSE(m.try_solve_spd({1.0, 1.0}, 0.0, factor, x));
+  EXPECT_EQ(x, (Vec{7.0, 8.0}));
+  // The throwing wrapper keeps its std::runtime_error contract, also for a
+  // singular PSD matrix without ridge.
+  EXPECT_THROW((void)m.solve_spd({1.0, 1.0}), std::runtime_error);
+  Matrix rank_one(2, 2);
+  rank_one.at(0, 0) = 1.0;
+  EXPECT_FALSE(rank_one.try_solve_spd({1.0, 1.0}, 0.0, factor, x));
+  EXPECT_TRUE(rank_one.try_solve_spd({1.0, 1.0}, 1e-6, factor, x));
+  EXPECT_THROW((void)m.try_solve_spd({1.0}, 0.0, factor, x), std::invalid_argument);
+}
+
+TEST(Matrix, InPlaceVariantsMatchAllocatingOnes) {
+  tradefl::Rng rng(5);
+  const Matrix a = random_spd(rng, 4, 0.5);
+  const Vec x{0.25, -1.5, 2.0, 3.0};
+  Vec out(9, 1.0);  // wrong size: resized
+  a.multiply(x, out);
+  EXPECT_TRUE(same_bits(a.multiply(x), out));
+  Matrix scaled = a;
+  scaled.scale_in_place(-3.5);
+  const Matrix expected = a.scaled(-3.5);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(expected.at(r, c), scaled.at(r, c));
+  }
 }
 
 TEST(Matrix, AddDiagonalVector) {

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.h"
 
@@ -92,7 +93,7 @@ Bytes encode_call(const CallPayload& payload) {
             "argument count overflows u32");
   writer.put_u32(static_cast<std::uint32_t>(payload.args.size()));
   for (const AbiValue& value : payload.args) encode_value(writer, value);
-  return writer.data();
+  return std::move(writer).take();
 }
 
 CallPayload decode_call(const Bytes& data) {
@@ -120,7 +121,7 @@ Bytes encode_values(const std::vector<AbiValue>& values) {
             "value count overflows u32");
   writer.put_u32(static_cast<std::uint32_t>(values.size()));
   for (const AbiValue& value : values) encode_value(writer, value);
-  return writer.data();
+  return std::move(writer).take();
 }
 
 std::vector<AbiValue> decode_values(const Bytes& data) {

@@ -1,13 +1,14 @@
 #include "chain/block.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace tradefl::chain {
 
 Bytes BlockHeader::serialize() const {
   ByteWriter writer;
   fields(writer, *this);
-  return writer.data();
+  return std::move(writer).take();
 }
 
 Hash256 BlockHeader::hash() const { return sha256(serialize()); }

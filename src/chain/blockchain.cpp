@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include "common/journal.h"
 #include "common/logging.h"
@@ -486,7 +487,7 @@ Bytes Blockchain::save_chain_state() const {
   ByteWriter writer;
   writer.put_u32(kChainStateVersion);
   fields(writer, state);
-  return writer.data();
+  return std::move(writer).take();
 }
 
 Status Blockchain::restore_chain_state(const Bytes& bytes, const ContractFactory& factory) {

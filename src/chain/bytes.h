@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fields.h"
@@ -43,6 +44,10 @@ class ByteWriter : public FieldWriter<ByteWriter> {
   void reserve(std::size_t capacity) { buffer_.reserve(capacity); }
 
   [[nodiscard]] const Bytes& data() const { return buffer_; }
+
+  /// Moves the encoded bytes out of an expiring writer, reserved capacity
+  /// and all, so a function returning its encoding pays no copy.
+  [[nodiscard]] Bytes take() && { return std::move(buffer_); }
 
  private:
   void close_nested(std::size_t at);

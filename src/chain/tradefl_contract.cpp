@@ -1,6 +1,7 @@
 #include "chain/tradefl_contract.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -261,8 +262,13 @@ void fields(Io& io, Self& contract) {
 
 Bytes TradeFlContract::save_state() const {
   ByteWriter writer;
+  // Exact blob size: phase, flag, round and org count, then per org a
+  // length-prefixed 20-byte address, two flags and four 8-byte fields. Every
+  // contract call saves state, so growing from empty would cost ~10
+  // reallocations per call.
+  writer.reserve(1 + 1 + 8 + 4 + orgs_.size() * ((4 + 20) + 2 + 4 * 8));
   fields(writer, *this);
-  return writer.data();
+  return std::move(writer).take();
 }
 
 void TradeFlContract::load_state(const Bytes& state) {

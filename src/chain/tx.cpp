@@ -1,5 +1,7 @@
 #include "chain/tx.h"
 
+#include <utility>
+
 namespace tradefl::chain {
 
 Address Address::from_name(const std::string& name) {
@@ -29,7 +31,7 @@ Bytes Transaction::serialize() const {
   // the buffer growth otherwise dominates the (hardware-accelerated) SHA.
   writer.reserve(2 * (4 + from.bytes.size()) + 4 * 8 + 4 + data.size());
   fields(writer, *this);
-  return writer.data();
+  return std::move(writer).take();
 }
 
 Hash256 Transaction::hash() const { return sha256(serialize()); }

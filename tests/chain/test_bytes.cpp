@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace tradefl::chain {
 namespace {
 
@@ -30,6 +32,17 @@ TEST(ByteWriterReader, ScalarRoundTrip) {
   EXPECT_EQ(reader.get_u64(), 0x0123456789ABCDEFULL);
   EXPECT_EQ(reader.get_i64(), -42);
   EXPECT_TRUE(reader.exhausted());
+}
+
+TEST(ByteWriterReader, TakeMovesTheBufferOut) {
+  ByteWriter writer;
+  writer.reserve(64);
+  writer.put_u32(0xDEADBEEF);
+  const Bytes expected = writer.data();
+  const Bytes taken = std::move(writer).take();
+  EXPECT_EQ(taken, expected);
+  // The reserved buffer itself came out, not a size-fitted copy.
+  EXPECT_GE(taken.capacity(), 64u);
 }
 
 TEST(ByteWriterReader, BlobAndStringRoundTrip) {

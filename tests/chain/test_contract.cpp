@@ -227,6 +227,19 @@ TEST(TradeFlContract, StateRoundTrip) {
   EXPECT_FALSE(outcome.receipt.success);
 }
 
+TEST(TradeFlContract, SaveStateReservesTheExactBlobSize) {
+  for (std::size_t n : {2u, 3u, 4u, 9u}) {
+    ContractFixture fx(n);
+    fx.register_all();
+    fx.deposit_all();
+    const Bytes blob = fx.chain.contract_at(fx.contract).save_state();
+    // 14 header bytes, 58 per organization; a buffer that had grown past
+    // its reservation would carry spare capacity.
+    EXPECT_EQ(blob.size(), 14 + 58 * n);
+    EXPECT_EQ(blob.capacity(), blob.size()) << n << " orgs";
+  }
+}
+
 TEST(TradeFlContract, ConstructorValidation) {
   TradeFlContractConfig config;
   config.org_count = 1;

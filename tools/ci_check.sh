@@ -37,6 +37,10 @@
 #      full-profile oracle (payoffs, NE gains, best responses, DBR/WPR/FIP
 #      profiles) plus the RandomGameInvariants sweep, with contracts on so
 #      every TFL_FINITE check in the evaluator runs
+#  12. barrier-oracle suite re-run under ASan+UBSan: the allocation-free
+#      CGBD primal (fixed-frequency potential, in-place Cholesky, barrier
+#      workspace) held bit-identical to the allocating full-profile oracle,
+#      plus the barrier, matrix and GBD unit tests, with contracts on
 #
 # Usage: tools/ci_check.sh [--no-sanitizers]
 set -euo pipefail
@@ -245,6 +249,16 @@ if [ "$run_sanitizers" -eq 1 ]; then
   # the known CGBD NE miss, and every RandomGameInvariants sweep case.
   ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
         -R 'PayoffOracle|RandomGameInvariants'
+
+  echo "=== ci: barrier-oracle suite (asan-ubsan) ==="
+  # Bit-identity gate for the CGBD primal: the fixed-frequency potential, the
+  # barrier's reused workspace and the in-place Cholesky against the
+  # allocating full-profile oracle (tests/core/barrier_oracle.h), memcmp-equal
+  # at every tuple CGBD visits, under the damped schedule and the poisoned-
+  # objective recovery path, for whole solves and the Newton/backtrack
+  # counts; plus the Barrier.*, Matrix.* and Gbd* unit tests.
+  ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
+        -R 'Barrier|Matrix|Gbd'
 fi
 
 echo "ci_check: all gates passed"

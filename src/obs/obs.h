@@ -10,9 +10,9 @@
 //                      one relaxed atomic load per site until the CLI/bench
 //                      surfaces flip it on.
 //
-// Counter/gauge/histogram macros cache the registry reference in a
-// function-local static, so the name->metric map lookup happens once per call
-// site, not once per call. Each update resolves through obs::scoped(): with no
+// Every metric macro, the two timers included, caches the registry reference
+// in a function-local static, so the name->metric map lookup happens once per
+// call site, not once per call. Each update resolves through obs::scoped(): with no
 // active MetricScope that is the cached reference itself (one string empty()
 // check); under a scope (the serve daemon's per-session workers) it fetches
 // the `<scope>/<name>` twin so concurrent sessions never share a metric.
@@ -104,17 +104,25 @@
 
 #define TFL_SPAN(name) ::tradefl::obs::Span TFL_OBS_CONCAT(tfl_span_, __LINE__)(name)
 
-#define TFL_SCOPED_TIMER(name)                                                  \
-  ::tradefl::obs::ScopedTimer TFL_OBS_CONCAT(tfl_timer_, __LINE__)(             \
+// Shared body of the two timers: `lookup` runs once per call site (the
+// function-local static of a capture-free lambda) and each timing resolves
+// the cached histogram through obs::scoped() like every other macro.
+#define TFL_OBS_TIMER(var, lookup)                                              \
+  ::tradefl::obs::ScopedTimer var(                                              \
       ::tradefl::obs::enabled()                                                 \
-          ? &::tradefl::obs::scoped(::tradefl::obs::metrics().histogram(name))  \
+          ? &::tradefl::obs::scoped([]() -> ::tradefl::obs::Histogram& {        \
+              static ::tradefl::obs::Histogram& tfl_timer_ref_ = lookup;        \
+              return tfl_timer_ref_;                                            \
+            }())                                                                \
           : nullptr)
 
+#define TFL_SCOPED_TIMER(name)                                                  \
+  TFL_OBS_TIMER(TFL_OBS_CONCAT(tfl_timer_, __LINE__),                           \
+                ::tradefl::obs::metrics().histogram(name))
+
 #define TFL_LATENCY_TIMER(name)                                                 \
-  ::tradefl::obs::ScopedTimer TFL_OBS_CONCAT(tfl_latency_, __LINE__)(           \
-      ::tradefl::obs::enabled()                                                 \
-          ? &::tradefl::obs::scoped(::tradefl::obs::latency_histogram(name))    \
-          : nullptr)
+  TFL_OBS_TIMER(TFL_OBS_CONCAT(tfl_latency_, __LINE__),                         \
+                ::tradefl::obs::latency_histogram(name))
 
 #define TFL_LEDGER_PHASE(name) \
   ::tradefl::obs::LedgerPhase TFL_OBS_CONCAT(tfl_ledger_phase_, __LINE__)(name)

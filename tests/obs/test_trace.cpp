@@ -183,5 +183,34 @@ TEST(ScopedTimer, NullSinkIsInert) {
   ScopedTimer timer(nullptr);  // must not crash or record anything
 }
 
+#if TRADEFL_ENABLE_TRACING
+/// One call site per timer macro, run both outside and inside a scope.
+void timed_call_site() {
+  TFL_SCOPED_TIMER("test.scoped_timer.seconds");
+  TFL_LATENCY_TIMER("test.latency_timer.seconds");
+}
+
+TEST(ScopedTimer, MacrosRecordIntoTheScopedTwin) {
+  // The first call caches the bare histograms at the call site; calls under
+  // a MetricScope must still land in the `<scope>/<name>` twins.
+  set_enabled(true);
+  timed_call_site();
+  {
+    const MetricScope scope("session=7");
+    timed_call_site();
+    timed_call_site();
+  }
+  timed_call_site();
+  set_enabled(false);
+  MetricsRegistry& registry = metrics();
+  EXPECT_EQ(registry.histogram("test.scoped_timer.seconds").snapshot().count, 2u);
+  EXPECT_EQ(registry.histogram("session=7/test.scoped_timer.seconds").snapshot().count, 2u);
+  EXPECT_EQ(latency_histogram("test.latency_timer.seconds").snapshot().count, 2u);
+  const Histogram& twin = latency_histogram("session=7/test.latency_timer.seconds");
+  EXPECT_EQ(twin.snapshot().count, 2u);
+  EXPECT_EQ(twin.bounds(), latency_histogram_bounds());  // inherited from the bare one
+}
+#endif
+
 }  // namespace
 }  // namespace tradefl::obs

@@ -17,10 +17,10 @@ Solution run_cgbd(const game::CoopetitionGame& game, const CgbdOptions& options)
   try {
     return solver.solve();
   } catch (const SolverFailure& failure) {
-    // Stage-2 recovery: the barrier diverged twice, so abandon the interior-
-    // point machinery entirely and fall back to best-response dynamics (DBR,
-    // Algorithm 2), which converges by the finite-improvement property and
-    // needs no second-order solves. The answer is an NE rather than the
+    // Stage-2 recovery: a primal was non-finite twice, so abandon the
+    // Benders machinery entirely and fall back to best-response dynamics
+    // (DBR, Algorithm 2), which converges by the finite-improvement property
+    // and needs no primal solves. The answer is an NE rather than the
     // (δ+ε)-optimal one — run_dbr's trace/diagnostics plus the marker below
     // let callers report the degradation honestly.
     TFL_COUNTER_INC("solver.fallbacks");

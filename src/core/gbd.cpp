@@ -15,7 +15,6 @@
 #include "core/iteration_trace.h"
 #include "game/potential.h"
 #include "math/grid.h"
-#include "math/matrix.h"
 #include "obs/obs.h"
 
 namespace tradefl::core {
@@ -50,8 +49,13 @@ double GbdSolver::deadline_slack(OrgId i, double d, double f) const {
          org.upload_time - game_.params().tau;
 }
 
+double GbdSolver::upper_fraction(OrgId i, std::size_t level) const {
+  const double d_min = game_.params().d_min;
+  return std::max(d_min, std::min(1.0, game_.data_upper_bound(i, level)));
+}
+
 PrimalSolve GbdSolver::solve_primal(const std::vector<std::size_t>& freq_indices) const {
-  return solve_primal_impl(freq_indices, options_.barrier, /*poison=*/false);
+  return solve_primal_impl(freq_indices, /*poison=*/false);
 }
 
 PrimalSolve GbdSolver::solve_primal_recovering(const std::vector<std::size_t>& freq_indices,
@@ -60,29 +64,25 @@ PrimalSolve GbdSolver::solve_primal_recovering(const std::vector<std::size_t>& f
                          options_.faults->perturb_solver(static_cast<std::uint64_t>(iteration));
   if (perturbed) TFL_COUNTER_INC("fault.injected.solver");
   try {
-    return solve_primal_impl(freq_indices, options_.barrier, perturbed);
-  } catch (const ContractViolation& diverged) {
-    // Structured recovery, stage 1: restart the barrier from scratch with a
-    // damped t-schedule (more, gentler centering stages) and no fault. The
-    // damped schedule trades iterations for numerical headroom.
+    return solve_primal_impl(freq_indices, perturbed);
+  } catch (const ContractViolation& poisoned) {
+    // Recovery, stage 1: the exact primal has no schedule to damp, so solve
+    // the same tuple again without the fault.
     TFL_COUNTER_INC("solver.recoveries");
-    TFL_WARN << "gbd: primal barrier diverged at iteration " << iteration
-             << ", restarting damped: " << diverged.what();
-    math::BarrierOptions damped = options_.barrier;
-    damped.t_growth = std::min(damped.t_growth, options_.recovery_t_growth);
+    TFL_WARN << "gbd: non-finite primal at iteration " << iteration
+             << ", re-solving: " << poisoned.what();
     try {
-      return solve_primal_impl(freq_indices, damped, /*poison=*/false);
+      return solve_primal_impl(freq_indices, /*poison=*/false);
     } catch (const ContractViolation& second) {
       // Stage 2 is the caller's: run_cgbd() catches SolverFailure and falls
-      // back to DBR, which needs no barrier at all.
-      throw SolverFailure(std::string("gbd: damped barrier restart diverged at iteration ") +
+      // back to DBR.
+      throw SolverFailure(std::string("gbd: primal re-solve non-finite at iteration ") +
                           std::to_string(iteration) + ": " + second.what());
     }
   }
 }
 
 PrimalSolve GbdSolver::solve_primal_impl(const std::vector<std::size_t>& freq_indices,
-                                         const math::BarrierOptions& barrier_options,
                                          bool poison) const {
   TFL_SPAN("cgbd.primal_solve");
   TFL_SCOPED_TIMER("cgbd.subproblem.seconds");
@@ -111,39 +111,30 @@ PrimalSolve GbdSolver::solve_primal_impl(const std::vector<std::size_t>& freq_in
     return result;
   }
 
-  // Barrier objective: the exact potential U(d, f) at the fixed frequencies.
+  // The deadline rows a_ii d_i <= b_i are diagonal, so the feasible set is
+  // the box D_min <= d_i <= ub_i and the exact potential is maximized there
+  // in closed form.
   const game::FixedFrequencyPotential potential(game_, freq_indices);
-  math::SmoothObjective objective;
-  objective.value = [&potential, poison](const Vec& d) {
-    return poison ? std::numeric_limits<double>::quiet_NaN() : potential.value(d);
-  };
-  objective.gradient = [&potential](const Vec& d, Vec& out) { potential.gradient(d, out); };
-  objective.hessian = [&potential](const Vec& d, math::Matrix& out) {
-    potential.hessian(d, out);
-  };
-
-  math::BoxBounds box{Vec(n, d_min), Vec(n, 1.0)};
-  // Degenerate boxes (D_min == 1) cannot happen: params validation enforces
-  // d_min <= 1 and the barrier needs strict width; widen infinitesimally.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (box.upper[i] - box.lower[i] < 1e-9) box.upper[i] = box.lower[i] + 1e-9;
-  }
-  math::LinearInequalities inequalities;
-  inequalities.a = math::Matrix(n, n);
-  inequalities.b.assign(n, 0.0);
-  for (OrgId i = 0; i < n; ++i) {
-    const auto& org = game_.org(i);
-    const double f = org.freq_levels.at(freq_indices[i]);
-    inequalities.a.at(i, i) = org.cycles_per_bit * org.data_size_bits / f;
-    inequalities.b[i] = game_.params().tau - org.download_time - org.upload_time;
-  }
-
-  auto barrier = math::maximize_with_barrier(objective, box, inequalities, Vec(n, d_min),
-                                             barrier_options);
+  Vec upper(n);
+  for (OrgId i = 0; i < n; ++i) upper[i] = upper_fraction(i, freq_indices[i]);
+  potential.maximize(d_min, upper, result.d);
   result.feasible = true;
-  result.d = std::move(barrier.x);
-  result.multipliers = std::move(barrier.multipliers);
-  result.value = barrier.value;
+  result.value = poison ? std::numeric_limits<double>::quiet_NaN() : potential.value(result.d);
+  // Always on (unlike TFL_FINITE): the fault path must trip in every build.
+  TFL_CHECK(std::isfinite(result.value), "gbd: non-finite primal value ", result.value);
+
+  // KKT multipliers of the deadline rows: where the deadline (not the box at
+  // 1) binds, u_i a_ii = [∂U/∂d_i]+; everywhere else u_i = 0.
+  Vec gradient(n);
+  potential.gradient(result.d, gradient);
+  result.multipliers.assign(n, 0.0);
+  for (OrgId i = 0; i < n; ++i) {
+    if (result.d[i] < upper[i] || upper[i] >= 1.0) continue;
+    const auto& org = game_.org(i);
+    const double f = org.freq_levels[freq_indices[i]];
+    result.multipliers[i] =
+        std::max(gradient[i], 0.0) / (org.cycles_per_bit * org.data_size_bits / f);
+  }
   return result;
 }
 
@@ -184,8 +175,7 @@ OptimalityCut GbdSolver::make_optimality_cut(const PrimalSolve& primal) const {
       double constant = params.gamma * game_.rho().row_sum(i) * params.lambda * f / z;
       constant -= u * (org.download_time + org.upload_time - params.tau);
       // Maximize slope * d over the deadline-feasible interval.
-      const double upper =
-          std::max(params.d_min, std::min(1.0, game_.data_upper_bound(i, level)));
+      const double upper = upper_fraction(i, level);
       const double best_linear = std::max(slope * params.d_min, slope * upper);
       cut.per_level[i].push_back(best_linear + constant);
     }
@@ -366,6 +356,7 @@ Solution GbdSolver::solve() {
   StrategyProfile& incumbent = state.incumbent;
   std::uint64_t& total_tuples = state.total_tuples;
   int first_iteration = 1;
+  bool stopped_on_revisit = false;
 
   // ----- checkpointing -----
   // Fingerprint the economic parameters, not just the problem shape: two
@@ -451,12 +442,15 @@ Solution GbdSolver::solve() {
 
     if (upper_bound - lower_bound <= options_.epsilon) {
       solution.converged = true;
+      TFL_COUNTER_INC("cgbd.stop.gap");
       break;
     }
     if (visited.count(next) > 0) {
-      // The master re-proposed a visited tuple: its cut already binds, so the
-      // bounds cannot improve further (finite convergence, Lemma 2).
-      solution.converged = true;
+      // The master re-proposed a visited tuple with the gap still above ε.
+      // Its cut equals v(f) there up to rounding, so the bounds cannot move
+      // any more: stop, but this is no convergence certificate.
+      stopped_on_revisit = true;
+      TFL_COUNTER_INC("cgbd.stop.revisit");
       break;
     }
     freq = std::move(next);
@@ -486,6 +480,7 @@ Solution GbdSolver::solve() {
   solution.diagnostics.emplace_back("optimality_cuts", static_cast<double>(optimality_cuts.size()));
   solution.diagnostics.emplace_back("feasibility_cuts",
                                     static_cast<double>(feasibility_cuts.size()));
+  if (stopped_on_revisit) solution.diagnostics.emplace_back("stop_revisit", 1.0);
   return solution;
 }
 

@@ -2,8 +2,11 @@
 //   max_{d, f}  U(d, f)   s.t.  d_i ∈ [D_min, 1],  f_i ∈ grid,  C^(3)
 // by alternating:
 //   * primal (19): fix f, maximize the concave U over d with the deadline
-//     constraints — solved by the log-barrier interior-point method with
-//     Lagrange multiplier recovery (math/barrier_solver);
+//     constraints. The deadline rows are diagonal, so the feasible set is a
+//     box and U = P(Ω) + linear, a one-dimensional problem in Ω: it is
+//     solved exactly (game::FixedFrequencyPotential::maximize) and the
+//     deadline multipliers come from KKT, so each optimality cut equals
+//     v(f) at the tuple it was made at;
 //   * feasibility check (21) when the primal is infeasible — for our
 //     monotone deadline constraints it has the closed form
 //     ζ* = max_i [g_i(D_min, f_i)]+ with λ an indicator of the argmax row;
@@ -27,7 +30,6 @@
 #include "common/result.h"
 #include "core/solution.h"
 #include "game/game.h"
-#include "math/barrier_solver.h"
 
 namespace tradefl::core {
 
@@ -38,18 +40,10 @@ struct GbdOptions {
   /// K — iteration cap of Algorithm 1.
   int max_iterations = 64;
 
-  /// Barrier (interior-point) options for the primal; the final duality gap
-  /// is the δ of Lemma 3.
-  math::BarrierOptions barrier{};
-
   /// Fault injection (nullptr = fault-free; must outlive the solve). A
-  /// perturbed iteration poisons the primal objective so the barrier's
-  /// finiteness contract trips, exercising the recovery path below.
+  /// perturbed iteration poisons the primal value with NaN so the primal's
+  /// finiteness check trips, exercising the re-solve path below.
   const FaultInjector* faults = nullptr;
-
-  /// Barrier-t growth used for the damped restart after a diverged primal;
-  /// smaller growth takes more, gentler centering stages.
-  double recovery_t_growth = 4.0;
 
   /// Crash-consistent checkpointing (empty = none): every `checkpoint_every`
   /// iterations the accumulated Benders state — optimality/feasibility cuts,
@@ -68,8 +62,8 @@ struct GbdOptions {
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Thrown when the primal barrier diverges AND the damped restart also fails
-/// — the structured signal run_cgbd() uses to fall back to DBR. Genuine
+/// Thrown when a primal solve is non-finite AND its clean re-solve is too —
+/// the structured signal run_cgbd() uses to fall back to DBR. Genuine
 /// infeasibility ("no frequency assignment satisfies the deadline") stays a
 /// plain std::runtime_error and propagates: no solver can fix a bad instance.
 class SolverFailure : public std::runtime_error {
@@ -125,7 +119,11 @@ class GbdSolver {
 
   /// Runs Algorithm 1. The trace records the incumbent per iteration; the
   /// diagnostics include "upper_bound", "lower_bound", "gap", and
-  /// "master_tuples" (the m^|N| traversal size, Lemma 4).
+  /// "master_tuples" (the m^|N| traversal size, Lemma 4). `converged` means
+  /// the solve stopped on UB - LB <= ε (counter cgbd.stop.gap). A master
+  /// that re-proposes a visited tuple with the gap still above ε also ends
+  /// the solve, since no bound can move, but unconverged: counter
+  /// cgbd.stop.revisit and diagnostic "stop_revisit" = 1.
   [[nodiscard]] Solution solve();
 
   /// Solves the primal problem (19) at fixed frequency levels. Public for
@@ -133,10 +131,9 @@ class GbdSolver {
   [[nodiscard]] PrimalSolve solve_primal(const std::vector<std::size_t>& freq_indices) const;
 
   /// solve_primal with the fault/recovery wrapper applied: an injected
-  /// perturbation (keyed on `iteration`) poisons the first barrier attempt;
-  /// on divergence the barrier restarts damped (recovery_t_growth) without
-  /// the fault, and a second divergence raises SolverFailure. Public for
-  /// tests.
+  /// perturbation (keyed on `iteration`) poisons the first attempt; a
+  /// non-finite attempt is re-solved once without the fault, and a second
+  /// non-finite result raises SolverFailure. Public for tests.
   [[nodiscard]] PrimalSolve solve_primal_recovering(
       const std::vector<std::size_t>& freq_indices, int iteration) const;
 
@@ -144,11 +141,15 @@ class GbdSolver {
   [[nodiscard]] double deadline_slack(game::OrgId i, double d, double f) const;
 
  private:
-  /// Shared body of the two public primal entry points: `barrier` selects the
-  /// interior-point schedule and `poison` injects a non-finite objective.
+  /// Shared body of the two public primal entry points: `poison` injects a
+  /// non-finite primal value.
   [[nodiscard]] PrimalSolve solve_primal_impl(const std::vector<std::size_t>& freq_indices,
-                                              const math::BarrierOptions& barrier,
                                               bool poison) const;
+
+  /// ub_i(level) = clip(data_upper_bound, D_min, 1): the upper end of d_i in
+  /// the primal's box and in every optimality cut, the same value in both so
+  /// a cut is tight at the tuple it was made at.
+  [[nodiscard]] double upper_fraction(game::OrgId i, std::size_t level) const;
 
   [[nodiscard]] OptimalityCut make_optimality_cut(const PrimalSolve& primal) const;
   [[nodiscard]] FeasibilityCut make_feasibility_cut(const PrimalSolve& primal,

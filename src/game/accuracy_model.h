@@ -45,6 +45,11 @@ class AccuracyModel {
   [[nodiscard]] double performance_second_derivative(double omega) const {
     return -loss_second_derivative(omega);
   }
+
+  /// (P')⁻¹(μ): the Ω >= 0 with P'(Ω) = μ, in closed form. P' falls from
+  /// P'(0) towards 0 as Ω grows, so the inverse is clipped at both ends:
+  /// μ >= P'(0) gives 0 and μ <= 0 gives +∞. A NaN μ propagates.
+  [[nodiscard]] virtual double inverse_performance_derivative(double mu) const = 0;
 };
 
 /// Footnote 7's bound, smoothed so that A(0) equals the configured untrained
@@ -58,6 +63,7 @@ class SqrtAccuracyModel final : public AccuracyModel {
   [[nodiscard]] double loss(double omega) const override;
   [[nodiscard]] double loss_derivative(double omega) const override;
   [[nodiscard]] double loss_second_derivative(double omega) const override;
+  [[nodiscard]] double inverse_performance_derivative(double mu) const override;
 
   [[nodiscard]] double epochs() const { return epochs_g_; }
   [[nodiscard]] double omega_offset() const { return omega0_; }
@@ -76,6 +82,7 @@ class PowerLawAccuracyModel final : public AccuracyModel {
   [[nodiscard]] double loss(double omega) const override;
   [[nodiscard]] double loss_derivative(double omega) const override;
   [[nodiscard]] double loss_second_derivative(double omega) const override;
+  [[nodiscard]] double inverse_performance_derivative(double mu) const override;
 
  private:
   double a0_;
@@ -91,6 +98,7 @@ class ExponentialAccuracyModel final : public AccuracyModel {
   [[nodiscard]] double loss(double omega) const override;
   [[nodiscard]] double loss_derivative(double omega) const override;
   [[nodiscard]] double loss_second_derivative(double omega) const override;
+  [[nodiscard]] double inverse_performance_derivative(double mu) const override;
 
  private:
   double a0_;
@@ -107,6 +115,7 @@ class EmpiricalAccuracyModel final : public AccuracyModel {
   [[nodiscard]] double loss(double omega) const override;
   [[nodiscard]] double loss_derivative(double omega) const override;
   [[nodiscard]] double loss_second_derivative(double omega) const override;
+  [[nodiscard]] double inverse_performance_derivative(double mu) const override;
 
   [[nodiscard]] const SqrtSaturationFit& fit() const { return fit_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/check.h"
@@ -136,6 +137,50 @@ void FixedFrequencyPotential::hessian(const math::Vec& d, math::Matrix& out) con
     for (std::size_t j = 0; j < terms_.size(); ++j) {
       out.at(i, j) = curvature * terms_[i].weight * terms_[j].weight;
     }
+  }
+}
+
+void FixedFrequencyPotential::maximize(double lower, const math::Vec& upper,
+                                       math::Vec& d) const {
+  const std::size_t n = terms_.size();
+  TFL_ASSERT(upper.size() == n, "potential: ", upper.size(), " bounds for ", n,
+             " organizations");
+  const AccuracyModel& accuracy = game_->accuracy();
+  // θ_i = -c_i / w_i: the marginal accuracy P'(Ω) below which raising d_i
+  // costs more energy than it earns.
+  const auto threshold = [this](std::size_t i) {
+    const OrgTerms& terms = terms_[i];
+    return (terms.energy_slope - terms.redistribution_slope) / terms.weight;
+  };
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const double theta_a = threshold(a);
+    const double theta_b = threshold(b);
+    return theta_a < theta_b || (theta_a == theta_b && a < b);
+  });
+
+  // Start with every d_i at `lower` and raise organizations to their upper
+  // bound in increasing θ order while P' at the current Ω still exceeds the
+  // next threshold. P' falls as Ω grows, so the first organization whose
+  // full raise would push P' below its θ is the marginal one.
+  d.assign(n, lower);
+  double omega_now = omega(d);
+  double slope_now = accuracy.performance_derivative(omega_now);
+  for (const std::size_t i : order) {
+    TFL_ASSERT(upper[i] >= lower, "potential: upper bound ", upper[i], " below ", lower);
+    const double theta = threshold(i);
+    if (slope_now <= theta) return;
+    const double raised_omega = omega_now + terms_[i].weight * (upper[i] - lower);
+    const double raised_slope = accuracy.performance_derivative(raised_omega);
+    if (raised_slope < theta) {
+      const double target = accuracy.inverse_performance_derivative(theta);
+      d[i] = std::clamp(lower + (target - omega_now) / terms_[i].weight, lower, upper[i]);
+      return;
+    }
+    d[i] = upper[i];
+    omega_now = raised_omega;
+    slope_now = raised_slope;
   }
 }
 

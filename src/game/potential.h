@@ -66,6 +66,16 @@ class FixedFrequencyPotential {
   /// N x N.
   void hessian(const math::Vec& d, math::Matrix& out) const;
 
+  /// The exact maximizer of U over the box lower <= d_i <= upper[i] (each
+  /// upper[i] >= lower), written into `d`. U is P(Ω) plus a term linear in
+  /// d, so ∂U/∂d_i = w_i (P'(Ω) - θ_i) with a constant threshold θ_i, and by
+  /// KKT every d_i sits at the bound the sign of P'(Ω*) - θ_i picks, except
+  /// at most one marginal organization, whose d_i solves P'(Ω*) = θ_i through
+  /// AccuracyModel::inverse_performance_derivative. Walking the thresholds
+  /// upwards costs one sort, at most N + 1 evaluations of P' and one of its
+  /// inverse: no iteration and no tolerance.
+  void maximize(double lower, const math::Vec& upper, math::Vec& d) const;
+
  private:
   /// Frequency-only factors of one organization.
   struct OrgTerms {

@@ -61,14 +61,9 @@ Matrix& Matrix::add_diagonal(const Vec& values) {
   return *this;
 }
 
-Matrix& Matrix::scale_in_place(double factor) {
-  for (double& v : data_) v *= factor;
-  return *this;
-}
-
 Matrix Matrix::scaled(double factor) const {
   Matrix out = *this;
-  out.scale_in_place(factor);
+  for (double& v : out.data_) v *= factor;
   return out;
 }
 
@@ -81,19 +76,14 @@ Matrix Matrix::transposed() const {
 }
 
 Vec Matrix::multiply(const Vec& x) const {
-  Vec out;
-  multiply(x, out);
-  return out;
-}
-
-void Matrix::multiply(const Vec& x, Vec& out) const {
   if (x.size() != cols_) throw std::invalid_argument("matrix: multiply size mismatch");
-  out.resize(rows_);
+  Vec out(rows_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     double total = 0.0;
     for (std::size_t c = 0; c < cols_; ++c) total += at(r, c) * x[c];
     out[r] = total;
   }
+  return out;
 }
 
 Matrix Matrix::multiply(const Matrix& other) const {
@@ -150,50 +140,41 @@ Vec Matrix::solve(const Vec& b) const {
 }
 
 Vec Matrix::solve_spd(const Vec& b, double ridge) const {
-  Matrix factor;
-  Vec x;
-  if (!try_solve_spd(b, ridge, factor, x)) {
-    throw std::runtime_error("matrix: not SPD in solve_spd");
-  }
-  return x;
-}
-
-bool Matrix::try_solve_spd(const Vec& b, double ridge, Matrix& factor, Vec& x) const {
   if (rows_ != cols_ || b.size() != rows_) throw std::invalid_argument("matrix: solve shape");
   TFL_ASSERT(nearly_symmetric(*this, 1e-8),
              "solve_spd requires a symmetric matrix (", rows_, "x", cols_, ")");
   TFL_ASSERT(ridge >= 0.0, "negative ridge ", ridge);
   const std::size_t n = rows_;
-  factor = *this;
-  factor.add_diagonal(ridge);
+  Matrix chol = *this;
+  chol.add_diagonal(ridge);
   // In-place lower Cholesky.
   for (std::size_t j = 0; j < n; ++j) {
-    double diag = factor.at(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= factor.at(j, k) * factor.at(j, k);
-    if (diag <= 0.0) return false;
+    double diag = chol.at(j, j);
+    for (std::size_t k = 0; k < j; ++k) diag -= chol.at(j, k) * chol.at(j, k);
+    if (diag <= 0.0) throw std::runtime_error("matrix: not SPD in solve_spd");
     const double root = std::sqrt(diag);
-    factor.at(j, j) = root;
+    chol.at(j, j) = root;
     for (std::size_t i = j + 1; i < n; ++i) {
-      double value = factor.at(i, j);
-      for (std::size_t k = 0; k < j; ++k) value -= factor.at(i, k) * factor.at(j, k);
-      factor.at(i, j) = value / root;
+      double value = chol.at(i, j);
+      for (std::size_t k = 0; k < j; ++k) value -= chol.at(i, k) * chol.at(j, k);
+      chol.at(i, j) = value / root;
     }
   }
-  // Forward substitution L y = b into x (entry i of b is read before x[i]
-  // is written, so x may alias b), then L^T x = y in place.
-  x.resize(n);
+  // Forward then backward substitution.
+  Vec y(n);
   for (std::size_t i = 0; i < n; ++i) {
     double total = b[i];
-    for (std::size_t k = 0; k < i; ++k) total -= factor.at(i, k) * x[k];
-    x[i] = total / factor.at(i, i);
+    for (std::size_t k = 0; k < i; ++k) total -= chol.at(i, k) * y[k];
+    y[i] = total / chol.at(i, i);
   }
+  Vec x(n);
   for (std::size_t ii = n; ii-- > 0;) {
-    double total = x[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) total -= factor.at(k, ii) * x[k];
-    x[ii] = total / factor.at(ii, ii);
+    double total = y[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) total -= chol.at(k, ii) * x[k];
+    x[ii] = total / chol.at(ii, ii);
     TFL_FINITE(x[ii]);
   }
-  return true;
+  return x;
 }
 
 }  // namespace tradefl::math

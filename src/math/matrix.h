@@ -1,8 +1,6 @@
-// Small dense row-major matrix with the two factorizations the interior
-// point solver needs: LU with partial pivoting for general Newton systems
-// and Cholesky (with diagonal regularization) for SPD systems. The in-place
-// variants write into caller-owned storage, so a solver loop that keeps its
-// buffers allocates nothing once they are sized.
+// Small dense row-major matrix with two factorizations: LU with partial
+// pivoting for general systems and Cholesky (with diagonal regularization)
+// for SPD systems.
 #pragma once
 
 #include <vector>
@@ -29,13 +27,10 @@ class Matrix {
   Matrix& add_in_place(const Matrix& other);
   Matrix& add_diagonal(double value);
   Matrix& add_diagonal(const Vec& values);
-  Matrix& scale_in_place(double factor);
   [[nodiscard]] Matrix scaled(double factor) const;
   [[nodiscard]] Matrix transposed() const;
 
   [[nodiscard]] Vec multiply(const Vec& x) const;
-  /// out = A x; `out` is resized to rows() (no allocation when it already is).
-  void multiply(const Vec& x, Vec& out) const;
   [[nodiscard]] Matrix multiply(const Matrix& other) const;
 
   /// Solves A x = b via LU with partial pivoting. Throws on singularity.
@@ -43,15 +38,8 @@ class Matrix {
 
   /// Solves A x = b assuming A SPD via Cholesky; adds `ridge` * I to the
   /// diagonal before factoring (Newton damping). Throws std::runtime_error
-  /// if still not SPD. Allocating wrapper over try_solve_spd.
+  /// if still not SPD.
   [[nodiscard]] Vec solve_spd(const Vec& b, double ridge = 0.0) const;
-
-  /// The one Cholesky solve: factors A + ridge * I = L L^T into the lower
-  /// triangle of `factor` and solves L L^T x = b into `x`. Both outputs are
-  /// resized to fit and reuse their storage. Returns false — with `x`
-  /// untouched — when a pivot is not positive (A + ridge * I is not SPD);
-  /// throws std::invalid_argument on a shape mismatch. `x` may alias `b`.
-  [[nodiscard]] bool try_solve_spd(const Vec& b, double ridge, Matrix& factor, Vec& x) const;
 
  private:
   std::size_t rows_ = 0;

@@ -44,15 +44,35 @@ double weighted_energy_sum(const CoopetitionGame& game, const StrategyProfile& p
   return total;
 }
 
-/// The objective contract the barrier had: every callback returns by value.
+/// The barrier's objective: every callback returns by value.
 struct ReferenceObjective {
   std::function<double(const Vec&)> value;
   std::function<Vec(const Vec&)> gradient;
   std::function<Matrix(const Vec&)> hessian;
 };
 
-double barrier_phi(const ReferenceObjective& objective, const math::BoxBounds& box,
-                   const math::LinearInequalities& ineq, const Vec& d, double t) {
+/// l <= d <= u componentwise (l_i < u_i).
+struct BoxBounds {
+  Vec lower;
+  Vec upper;
+};
+
+/// A d <= b.
+struct LinearInequalities {
+  Matrix a;
+  Vec b;
+
+  [[nodiscard]] std::size_t count() const { return b.size(); }
+};
+
+struct BarrierResult {
+  Vec x;               // strictly feasible
+  double value = 0.0;  // g(x)
+  Vec multipliers;     // one per row of A
+};
+
+double barrier_phi(const ReferenceObjective& objective, const BoxBounds& box,
+                   const LinearInequalities& ineq, const Vec& d, double t) {
   double barrier_terms = 0.0;
   for (std::size_t i = 0; i < d.size(); ++i) {
     const double low_slack = d[i] - box.lower[i];
@@ -73,11 +93,9 @@ double barrier_phi(const ReferenceObjective& objective, const math::BoxBounds& b
   return -t * objective.value(d) + barrier_terms;
 }
 
-math::BarrierResult reference_barrier(const ReferenceObjective& objective,
-                                      const math::BoxBounds& box,
-                                      const math::LinearInequalities& inequalities, Vec start,
-                                      const math::BarrierOptions& options,
-                                      BarrierCounts* counts) {
+BarrierResult reference_barrier(const ReferenceObjective& objective, const BoxBounds& box,
+                                const LinearInequalities& inequalities, Vec start,
+                                const BarrierOptions& options) {
   const std::size_t dim = start.size();
   for (std::size_t i = 0; i < dim; ++i) {
     const double width = box.upper[i] - box.lower[i];
@@ -120,15 +138,12 @@ math::BarrierResult reference_barrier(const ReferenceObjective& objective,
   }
 
   const std::size_t constraint_count = 2 * dim + inequalities.count();
-  math::BarrierResult result;
+  BarrierResult result;
   result.x = start;
   double t = options.initial_t;
-  int total_newton = 0;
-  long total_backtracks = 0;
 
   for (int stage = 0; stage < options.max_stages; ++stage) {
     for (int it = 0; it < options.max_newton_per_stage; ++it) {
-      ++total_newton;
       const Vec& d = result.x;
       Vec grad = objective.gradient(d);
       Matrix hess = objective.hessian(d);
@@ -178,8 +193,7 @@ math::BarrierResult reference_barrier(const ReferenceObjective& objective,
       const double phi_now = barrier_phi(objective, box, inequalities, d, t);
       double step_size = 1.0;
       Vec candidate(dim);
-      int backtracks = 0;
-      for (; backtracks < 80; ++backtracks) {
+      for (int backtracks = 0; backtracks < 80; ++backtracks) {
         for (std::size_t i = 0; i < dim; ++i) candidate[i] = d[i] + step_size * step[i];
         const double phi_candidate = barrier_phi(objective, box, inequalities, candidate, t);
         if (phi_candidate <=
@@ -188,25 +202,15 @@ math::BarrierResult reference_barrier(const ReferenceObjective& objective,
         }
         step_size *= options.line_search_backtrack;
       }
-      total_backtracks += backtracks;
       const double movement = step_size * math::norm_inf(step);
       result.x = candidate;
       if (movement < 1e-15) break;
     }
 
-    result.duality_gap = static_cast<double>(constraint_count) / t;
-    if (result.duality_gap < options.duality_gap_tol) {
-      result.converged = true;
-      break;
-    }
+    if (static_cast<double>(constraint_count) / t < options.duality_gap_tol) break;
     t *= options.t_growth;
   }
 
-  result.newton_iterations = total_newton;
-  if (counts != nullptr) {
-    counts->newton_iterations += total_newton;
-    counts->backtracks += total_backtracks;
-  }
   result.value = objective.value(result.x);
   TFL_CHECK(std::isfinite(math::sum(result.x)) && std::isfinite(result.value),
             "reference barrier produced a non-finite iterate (value ", result.value, ")");
@@ -317,8 +321,7 @@ double reference_potential_gradient_d(const CoopetitionGame& game,
 
 core::PrimalSolve reference_solve_primal(const CoopetitionGame& game,
                                          const std::vector<std::size_t>& freq_indices,
-                                         const math::BarrierOptions& barrier, bool poison,
-                                         BarrierCounts* counts) {
+                                         const BarrierOptions& barrier) {
   const std::size_t n = game.size();
   const double d_min = game.params().d_min;
   core::PrimalSolve result;
@@ -343,8 +346,7 @@ core::PrimalSolve reference_solve_primal(const CoopetitionGame& game,
 
   ReferenceObjective objective;
   StrategyProfile scratch = to_profile(Vec(n, d_min), freq_indices);
-  objective.value = [&game, &scratch, poison](const Vec& d) {
-    if (poison) return std::numeric_limits<double>::quiet_NaN();
+  objective.value = [&game, &scratch](const Vec& d) {
     for (std::size_t i = 0; i < d.size(); ++i) scratch[i].data_fraction = d[i];
     return reference_potential(game, scratch);
   };
@@ -365,11 +367,11 @@ core::PrimalSolve reference_solve_primal(const CoopetitionGame& game,
     return Matrix::outer(weights, curvature);
   };
 
-  math::BoxBounds box{Vec(n, d_min), Vec(n, 1.0)};
+  BoxBounds box{Vec(n, d_min), Vec(n, 1.0)};
   for (std::size_t i = 0; i < n; ++i) {
     if (box.upper[i] - box.lower[i] < 1e-9) box.upper[i] = box.lower[i] + 1e-9;
   }
-  math::LinearInequalities inequalities;
+  LinearInequalities inequalities;
   inequalities.a = Matrix(n, n);
   inequalities.b.assign(n, 0.0);
   for (OrgId i = 0; i < n; ++i) {
@@ -379,8 +381,7 @@ core::PrimalSolve reference_solve_primal(const CoopetitionGame& game,
     inequalities.b[i] = game.params().tau - org.download_time - org.upload_time;
   }
 
-  const auto solved =
-      reference_barrier(objective, box, inequalities, Vec(n, d_min), barrier, counts);
+  const auto solved = reference_barrier(objective, box, inequalities, Vec(n, d_min), barrier);
   result.feasible = true;
   result.d = solved.x;
   result.multipliers = solved.multipliers;
@@ -388,27 +389,7 @@ core::PrimalSolve reference_solve_primal(const CoopetitionGame& game,
   return result;
 }
 
-core::PrimalSolve reference_solve_primal_recovering(const CoopetitionGame& game,
-                                                    const core::GbdOptions& options,
-                                                    const std::vector<std::size_t>& freq_indices,
-                                                    int iteration, BarrierCounts* counts) {
-  const bool perturbed = options.faults != nullptr && options.faults->enabled() &&
-                         options.faults->perturb_solver(static_cast<std::uint64_t>(iteration));
-  try {
-    return reference_solve_primal(game, freq_indices, options.barrier, perturbed, counts);
-  } catch (const ContractViolation&) {
-    math::BarrierOptions damped = options.barrier;
-    damped.t_growth = std::min(damped.t_growth, options.recovery_t_growth);
-    try {
-      return reference_solve_primal(game, freq_indices, damped, /*poison=*/false, counts);
-    } catch (const ContractViolation& second) {
-      throw core::SolverFailure(std::string("reference: damped restart diverged: ") +
-                                second.what());
-    }
-  }
-}
-
-ReferenceGbdRun reference_gbd_solve(const CoopetitionGame& game,
+ReferenceGbdRun reference_gbd_solve(const CoopetitionGame& game, const PrimalFunction& primal_fn,
                                     const core::GbdOptions& options) {
   const std::size_t n = game.size();
   ReferenceGbdRun run;
@@ -425,11 +406,11 @@ ReferenceGbdRun reference_gbd_solve(const CoopetitionGame& game,
   double upper_bound = std::numeric_limits<double>::infinity();
   double total_tuples = 0.0;
   StrategyProfile incumbent;
+  bool stopped_on_revisit = false;
 
   for (int k = 1; k <= options.max_iterations; ++k) {
     run.tuples.push_back(freq);
-    const core::PrimalSolve primal =
-        reference_solve_primal_recovering(game, options, freq, k, &run.counts);
+    const core::PrimalSolve primal = primal_fn(freq);
     if (primal.feasible) {
       optimality_cuts.push_back(optimality_cut(game, primal));
       if (primal.value > lower_bound) {
@@ -476,7 +457,7 @@ ReferenceGbdRun reference_gbd_solve(const CoopetitionGame& game,
       break;
     }
     if (std::find(run.tuples.begin(), run.tuples.end(), next) != run.tuples.end()) {
-      solution.converged = true;
+      stopped_on_revisit = true;
       break;
     }
     freq = std::move(next);
@@ -492,7 +473,17 @@ ReferenceGbdRun reference_gbd_solve(const CoopetitionGame& game,
                                     static_cast<double>(optimality_cuts.size()));
   solution.diagnostics.emplace_back("feasibility_cuts",
                                     static_cast<double>(feasibility_cuts.size()));
+  if (stopped_on_revisit) solution.diagnostics.emplace_back("stop_revisit", 1.0);
   return run;
+}
+
+ReferenceGbdRun reference_barrier_gbd_solve(const CoopetitionGame& game,
+                                            const core::GbdOptions& options) {
+  return reference_gbd_solve(
+      game, [&game](const std::vector<std::size_t>& freq) {
+        return reference_solve_primal(game, freq);
+      },
+      options);
 }
 
 }  // namespace tradefl::oracle

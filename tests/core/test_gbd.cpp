@@ -91,6 +91,71 @@ TEST(Gbd, InfeasibleFrequencyDetected) {
   }
 }
 
+TEST(Gbd, PrimalHandlesDegenerateBox) {
+  // D_min = 1: the box is the single point d = 1, priced by no deadline.
+  {
+    ExperimentSpec spec;
+    spec.org_count = 4;
+    spec.params.d_min = 1.0;
+    spec.params.tau = 1000.0;
+    const auto game = make_experiment_game(spec, 42);
+    GbdSolver solver(game);
+    std::vector<std::size_t> freq(game.size());
+    for (OrgId i = 0; i < game.size(); ++i) freq[i] = game.org(i).freq_levels.size() - 1;
+    const PrimalSolve primal = solver.solve_primal(freq);
+    ASSERT_TRUE(primal.feasible);
+    game::StrategyProfile profile(game.size());
+    for (OrgId i = 0; i < game.size(); ++i) {
+      EXPECT_EQ(primal.d[i], 1.0);
+      EXPECT_EQ(primal.multipliers[i], 0.0);
+      profile[i] = {1.0, freq[i]};
+    }
+    EXPECT_EQ(primal.value, game::potential(game, profile));
+    const Solution solution = run_cgbd(game);
+    EXPECT_TRUE(solution.converged);
+  }
+  // A deadline bound of exactly 1 at org 0's fastest level: the deadline and
+  // the box bind together, and the box's multiplier (0) is the one reported.
+  {
+    const auto toy = make_toy_game();
+    std::vector<game::Organization> orgs = toy.orgs();
+    orgs[0].download_time = 2.0;
+    orgs[0].upload_time = 2.0;
+    game::GameParams params = toy.params();
+    params.tau = 84.0;  // compute budget 80 s = η s / f at f = 5 GHz
+    const game::CoopetitionGame game(orgs, toy.rho(), toy.accuracy_ptr(), params);
+    const std::size_t fastest = orgs[0].freq_levels.size() - 1;
+    ASSERT_EQ(orgs[0].max_data_fraction_for_deadline(orgs[0].freq_levels[fastest], params.tau),
+              1.0);
+    GbdSolver solver(game);
+    const std::vector<std::size_t> freq(game.size(), fastest);
+    const PrimalSolve primal = solver.solve_primal(freq);
+    ASSERT_TRUE(primal.feasible);
+    EXPECT_LE(primal.d[0], 1.0);
+    EXPECT_EQ(primal.multipliers[0], 0.0);
+    const Solution solution = run_cgbd(game);
+    EXPECT_TRUE(solution.converged);
+    EXPECT_EQ(solution.diagnostic("stop_revisit"), 0.0);
+  }
+}
+
+TEST(Cgbd, StopsOnGapAcrossTableIIGames) {
+  // With exact KKT multipliers each optimality cut equals v(f) at the tuple
+  // it was made at, so a master that re-proposes a visited tuple already has
+  // UB - LB <= 0: every solve must stop on the gap, and at an NE.
+  ExperimentSpec spec;
+  spec.org_count = 6;
+  for (std::uint64_t i = 0; i < 512; ++i) {
+    const std::uint64_t seed = 100003 + i;
+    const auto game = make_experiment_game(spec, seed);
+    const Solution solution = run_cgbd(game);
+    EXPECT_TRUE(solution.converged) << "seed " << seed;
+    EXPECT_LE(solution.diagnostic("gap"), GbdOptions{}.epsilon) << "seed " << seed;
+    EXPECT_EQ(solution.diagnostic("stop_revisit"), 0.0) << "seed " << seed;
+    EXPECT_LE(game.max_unilateral_gain(solution.profile), 1e-4) << "seed " << seed;
+  }
+}
+
 TEST(Cgbd, ConvergesAndIsFeasible) {
   const auto game = small_game(42);
   const Solution solution = run_cgbd(game);
@@ -181,9 +246,10 @@ TEST(GbdFaults, EmptyPlanInjectorIsNoOp) {
   }
 }
 
-TEST(GbdFaults, PerturbationRecoversViaDampedRestart) {
-  // Every primal solve is poisoned with NaN; the solver must recover through
-  // the damped barrier restart and still converge to a feasible equilibrium.
+TEST(GbdFaults, PerturbationRecoversViaResolve) {
+  // Every primal solve is poisoned with NaN; the solver must recover by
+  // re-solving each tuple without the fault, which reproduces the
+  // unperturbed run bit for bit.
   const auto game = small_game(42);
   FaultPlan plan;
   plan.solver_perturb_rate = 1.0;
@@ -192,13 +258,14 @@ TEST(GbdFaults, PerturbationRecoversViaDampedRestart) {
   options.faults = &injector;
   const Solution recovered = run_cgbd(game, options);
   EXPECT_TRUE(recovered.converged);
-  EXPECT_TRUE(game.is_feasible(recovered.profile));
-  // The damped restart solves the same concave primal: the equilibrium value
-  // matches the unperturbed run to solver tolerance.
+  EXPECT_EQ(recovered.diagnostic("fallback_dbr"), 0.0);
   const Solution plain = run_cgbd(game);
-  const double v_recovered = game::potential(game, recovered.profile);
-  const double v_plain = game::potential(game, plain.profile);
-  EXPECT_NEAR(v_recovered, v_plain, 1e-4 * std::max(1.0, std::abs(v_plain)));
+  ASSERT_EQ(recovered.profile.size(), plain.profile.size());
+  for (OrgId i = 0; i < game.size(); ++i) {
+    EXPECT_EQ(recovered.profile[i].data_fraction, plain.profile[i].data_fraction);  // bitwise
+    EXPECT_EQ(recovered.profile[i].freq_index, plain.profile[i].freq_index);
+  }
+  EXPECT_EQ(recovered.iterations, plain.iterations);
 }
 
 TEST(GbdFaults, PerturbationScheduleIsDeterministic) {

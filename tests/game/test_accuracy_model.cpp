@@ -1,12 +1,15 @@
 // Property tests of every accuracy model against the Eq. (5) conditions:
-// P' >= 0 and P'' <= 0, plus derivative consistency by finite differences.
+// P' >= 0 and P'' <= 0, plus derivative consistency by finite differences
+// and the closed-form inverse of P'.
 #include "game/accuracy_model.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <ostream>
+#include <vector>
 
 namespace tradefl::game {
 namespace {
@@ -87,6 +90,28 @@ SqrtSaturationFit sample_fit() {
   fit.b = 1.5;
   fit.c = 5.0;
   return fit;
+}
+
+TEST_P(AccuracyModelProperties, InversePerformanceDerivative) {
+  const AccuracyModel& model = *GetParam().model;
+  const double slope_at_zero = model.performance_derivative(0.0);
+  // P'(inverse(μ)) = μ on a log grid spanning twelve decades below P'(0),
+  // plus points just under P'(0), where Ω is tiny.
+  std::vector<double> grid;
+  for (int k = 1; k <= 48; ++k) grid.push_back(slope_at_zero * std::pow(10.0, -k / 4.0));
+  for (double shave : {1e-3, 1e-6, 1e-9}) grid.push_back(slope_at_zero * (1.0 - shave));
+  for (const double mu : grid) {
+    const double omega = model.inverse_performance_derivative(mu);
+    ASSERT_TRUE(std::isfinite(omega)) << "mu " << mu;
+    EXPECT_GE(omega, 0.0) << "mu " << mu;
+    EXPECT_NEAR(model.performance_derivative(omega), mu, 1e-12 * mu) << "mu " << mu;
+  }
+  // The ends: μ >= P'(0) maps to Ω = 0, μ <= 0 to +∞; NaN propagates.
+  EXPECT_EQ(model.inverse_performance_derivative(slope_at_zero), 0.0);
+  EXPECT_EQ(model.inverse_performance_derivative(2.0 * slope_at_zero), 0.0);
+  EXPECT_EQ(model.inverse_performance_derivative(0.0), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(model.inverse_performance_derivative(-1.0), std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(model.inverse_performance_derivative(std::nan(""))));
 }
 
 INSTANTIATE_TEST_SUITE_P(

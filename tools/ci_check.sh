@@ -37,10 +37,11 @@
 #      full-profile oracle (payoffs, NE gains, best responses, DBR/WPR/FIP
 #      profiles) plus the RandomGameInvariants sweep, with contracts on so
 #      every TFL_FINITE check in the evaluator runs
-#  12. barrier-oracle suite re-run under ASan+UBSan: the allocation-free
-#      CGBD primal (fixed-frequency potential, in-place Cholesky, barrier
-#      workspace) held bit-identical to the allocating full-profile oracle,
-#      plus the barrier, matrix and GBD unit tests, with contracts on
+#  12. primal-oracle suite re-run under ASan+UBSan: the exact KKT CGBD
+#      primal held to the test-only reference log-barrier within tolerances
+#      and to the KKT conditions, the potential evaluator and the Benders
+#      loop bit-identical to their full-profile references, plus the
+#      accuracy-model inverse, matrix, GBD and CGBD tests, with contracts on
 #
 # Usage: tools/ci_check.sh [--no-sanitizers]
 set -euo pipefail
@@ -246,19 +247,19 @@ if [ "$run_sanitizers" -eq 1 ]; then
   # Bit-identity gate for the NE check and best responses: the deviation
   # evaluator against the full-profile oracle (tests/core/payoff_oracle.h),
   # memcmp-equal, on toy, gamma=0, rho=0 and all four accuracy-model games,
-  # the known CGBD NE miss, and every RandomGameInvariants sweep case.
+  # the former CGBD NE miss, and every RandomGameInvariants sweep case.
   ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
         -R 'PayoffOracle|RandomGameInvariants'
 
-  echo "=== ci: barrier-oracle suite (asan-ubsan) ==="
-  # Bit-identity gate for the CGBD primal: the fixed-frequency potential, the
-  # barrier's reused workspace and the in-place Cholesky against the
-  # allocating full-profile oracle (tests/core/barrier_oracle.h), memcmp-equal
-  # at every tuple CGBD visits, under the damped schedule and the poisoned-
-  # objective recovery path, for whole solves and the Newton/backtrack
-  # counts; plus the Barrier.*, Matrix.* and Gbd* unit tests.
+  echo "=== ci: primal-oracle suite (asan-ubsan) ==="
+  # The CGBD primal: the exact KKT maximizer against the reference log-barrier
+  # (tests/core/barrier_oracle.h) at every tuple CGBD visits, within stated
+  # tolerances in U, d and u, and against the KKT conditions themselves; the
+  # fixed-frequency potential and the Benders loop memcmp-equal to their
+  # full-profile references; the poisoned-primal re-solve bit-equal to the
+  # clean run; plus the AccuracyModel*, Matrix.*, Gbd* and Cgbd* tests.
   ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
-        -R 'Barrier|Matrix|Gbd'
+        -R 'PrimalOracle|AccuracyModel|Gbd|Cgbd|Matrix'
 fi
 
 echo "ci_check: all gates passed"

@@ -1,6 +1,6 @@
 // Crash-consistent, versioned binary snapshots. Every long-running pipeline
-// (FedAvg/FedAsync training, CGBD solves, trading sessions, the chain WAL)
-// persists its state through this layer instead of rolling its own ofstream
+// (FedAvg training, CGBD solves, trading sessions, the chain WAL) persists
+// its state through this layer instead of rolling its own ofstream
 // format — tfl-lint enforces that. Payload layouts are the persisted
 // structs' fields() (common/fields.h): one function per struct drives both
 // the writer and the reader, and tests/integration/test_golden_bytes.cpp pins

@@ -114,23 +114,31 @@ Result<AggregatorSpec> parse_aggregator(const std::string& text) {
   return agg_error("unknown aggregator '" + head + "'", text);
 }
 
-void ordered_weighted_mean(const std::vector<const std::vector<float>*>& values,
-                           const std::vector<double>& weights, ThreadPool* pool,
-                           std::vector<float>& out) {
+namespace {
+
+/// Shared Eq. (3) path for mean-family rules: the new global model is
+/// float(sum_k w_k v_k[i] / sum_k w_k), accumulated in double and folded in
+/// index order per coordinate (the historical fold extracted from
+/// fedavg.cpp). Coordinates fan out over the pool; the per-coordinate fold
+/// order never depends on the thread count. `values` must already be the set
+/// to average; influence lands at `slots` (original update indices).
+void weighted_mean_into(const std::vector<const std::vector<float>*>& values,
+                        const std::vector<double>& weights, const std::vector<std::size_t>& slots,
+                        ThreadPool* pool, AggregateOutcome& outcome) {
   if (values.empty() || values.size() != weights.size()) {
-    throw std::invalid_argument("ordered_weighted_mean: need matching non-empty inputs");
+    throw std::invalid_argument("aggregate_updates: need matching non-empty inputs");
   }
   const std::size_t dim = values.front()->size();
   for (const std::vector<float>* value : values) {
     if (value == nullptr || value->size() != dim) {
-      throw std::invalid_argument("ordered_weighted_mean: dimension mismatch");
+      throw std::invalid_argument("aggregate_updates: dimension mismatch");
     }
   }
   const double total = ordered_total(weights);
   if (!(total > 0.0)) {
-    throw std::invalid_argument("ordered_weighted_mean: total weight must be positive");
+    throw std::invalid_argument("aggregate_updates: total weight must be positive");
   }
-  std::vector<float> result(dim);
+  outcome.weights.resize(dim);
   parallel_for(pool, 0, dim, kCoordGrain,
                [&](std::size_t lo, std::size_t hi, std::size_t /*worker*/) {
                  for (std::size_t i = lo; i < hi; ++i) {
@@ -138,23 +146,9 @@ void ordered_weighted_mean(const std::vector<const std::vector<float>*>& values,
                    for (std::size_t k = 0; k < values.size(); ++k) {
                      acc += weights[k] * static_cast<double>((*values[k])[i]);
                    }
-                   result[i] = static_cast<float>(acc / total);
+                   outcome.weights[i] = static_cast<float>(acc / total);
                  }
                });
-  // Written through a scratch buffer so `out` may alias an input (FedAsync
-  // merges in place over the global model).
-  out = std::move(result);
-}
-
-namespace {
-
-/// Shared Eq. (3) path for mean-family rules. `updates` must already be the
-/// set to average; influence lands at `slots` (original update indices).
-void weighted_mean_into(const std::vector<const std::vector<float>*>& values,
-                        const std::vector<double>& weights, const std::vector<std::size_t>& slots,
-                        ThreadPool* pool, AggregateOutcome& outcome) {
-  ordered_weighted_mean(values, weights, pool, outcome.weights);
-  const double total = ordered_total(weights);
   for (std::size_t k = 0; k < slots.size(); ++k) {
     outcome.influence[slots[k]] = weights[k] / total;
   }

@@ -68,8 +68,8 @@ struct AggregatorSpec {
 /// accepted grammar.
 Result<AggregatorSpec> parse_aggregator(const std::string& text);
 
-/// Serialized into the FedAvg/FedAsync/session checkpoints so a resume under
-/// a different aggregator fails closed.
+/// Serialized into the FedAvg and session checkpoints so a resume under a
+/// different aggregator fails closed.
 template <class Io, FieldsOf<AggregatorSpec> Self>
 void fields(Io& io, Self& spec) {
   io.u32(spec.kind, AggregatorKind::kNormClip);
@@ -101,17 +101,6 @@ struct AggregateOutcome {
   /// fraction of coordinate mass the update supplied; krum: selected or not.
   std::vector<double> influence;
 };
-
-/// The shared ordered weighted-sum helper: out[i] = float(sum_k w_k v_k[i] /
-/// sum_k w_k), accumulated in double, folded in index order per coordinate.
-/// This is Eq. (3)'s historical fold extracted from fedavg.cpp, and the same
-/// helper FedAsync's staleness-discounted merge uses — both paths now share
-/// one double-precision fold. `out` may alias an entry of `values` (each
-/// coordinate reads all inputs before writing). Coordinates fan out over the
-/// pool; the per-coordinate fold order never depends on the thread count.
-void ordered_weighted_mean(const std::vector<const std::vector<float>*>& values,
-                           const std::vector<double>& weights, ThreadPool* pool,
-                           std::vector<float>& out);
 
 /// Runs the aggregation rule over the survivor updates. `previous_global` is
 /// the pre-round model (normclip's clipping reference). Requires at least one

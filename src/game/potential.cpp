@@ -129,17 +129,6 @@ void FixedFrequencyPotential::gradient(const math::Vec& d, math::Vec& out) const
   }
 }
 
-void FixedFrequencyPotential::hessian(const math::Vec& d, math::Matrix& out) const {
-  TFL_ASSERT(out.rows() == terms_.size() && out.cols() == terms_.size(),
-             "potential: Hessian buffer of ", out.rows(), "x", out.cols());
-  const double curvature = game_->accuracy().performance_second_derivative(omega(d));
-  for (std::size_t i = 0; i < terms_.size(); ++i) {
-    for (std::size_t j = 0; j < terms_.size(); ++j) {
-      out.at(i, j) = curvature * terms_[i].weight * terms_[j].weight;
-    }
-  }
-}
-
 void FixedFrequencyPotential::maximize(double lower, const math::Vec& upper,
                                        math::Vec& d) const {
   const std::size_t n = terms_.size();
@@ -197,20 +186,6 @@ double paper_potential(const CoopetitionGame& game, const StrategyProfile& profi
     value += game.redistribution(i, profile) / game.weight_z(i);
   }
   return value;
-}
-
-double potential_gradient_d(const CoopetitionGame& game, const StrategyProfile& profile,
-                            OrgId i) {
-  math::Vec gradient(game.size());
-  FixedFrequencyPotential(game, profile).gradient(data_fractions(profile), gradient);
-  return gradient.at(i);
-}
-
-double potential_hessian_dd(const CoopetitionGame& game, const StrategyProfile& profile,
-                            OrgId i, OrgId j) {
-  math::Matrix hessian(game.size(), game.size());
-  FixedFrequencyPotential(game, profile).hessian(data_fractions(profile), hessian);
-  return hessian.at(i, j);
 }
 
 PotentialIdentityCheck check_weighted_potential_identity(const CoopetitionGame& game,

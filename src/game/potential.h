@@ -17,14 +17,13 @@
 //    the function CGBD maximizes. See DESIGN.md §7.
 //
 // FixedFrequencyPotential is the one implementation of the exact potential:
-// `potential`, its derivatives and the energy term of `paper_potential` are
-// thin calls into it.
+// `potential` and the energy term of `paper_potential` are thin calls into
+// it.
 #pragma once
 
 #include <vector>
 
 #include "game/game.h"
-#include "math/matrix.h"
 #include "math/vec.h"
 
 namespace tradefl::game {
@@ -62,10 +61,6 @@ class FixedFrequencyPotential {
   /// `out` must already hold one entry per organization.
   void gradient(const math::Vec& d, math::Vec& out) const;
 
-  /// out = P''(Ω) w w^T, the (rank-one) Hessian in d; `out` must already be
-  /// N x N.
-  void hessian(const math::Vec& d, math::Matrix& out) const;
-
   /// The exact maximizer of U over the box lower <= d_i <= upper[i] (each
   /// upper[i] >= lower), written into `d`. U is P(Ω) plus a term linear in
   /// d, so ∂U/∂d_i = w_i (P'(Ω) - θ_i) with a constant threshold θ_i, and by
@@ -101,17 +96,6 @@ double potential(const CoopetitionGame& game, const StrategyProfile& profile);
 
 /// Eq. (15) exactly as printed in the paper (for Fig. 4 comparisons).
 double paper_potential(const CoopetitionGame& game, const StrategyProfile& profile);
-
-/// Analytic ∂U/∂d_i of the exact potential at fixed frequencies (used by the
-/// GBD primal solver):
-///   ∂U/∂d_i = P'(Ω) w_i - ϖ_e κ f_i² η_i s_i / z_i + γ s_i Σ_j ρ_{i,j} / z_i.
-double potential_gradient_d(const CoopetitionGame& game, const StrategyProfile& profile,
-                            OrgId i);
-
-/// ∂²U/∂d_i∂d_j = P''(Ω) w_i w_j (rank-one Hessian; energy/redistribution
-/// parts are linear in d at fixed f).
-double potential_hessian_dd(const CoopetitionGame& game, const StrategyProfile& profile,
-                            OrgId i, OrgId j);
 
 /// Result of numerically probing the weighted-potential identity (Eq. 14):
 /// z_i [U(π_i', π_-i) - U(π)] vs C_i(π_i', π_-i) - C_i(π).

@@ -1,6 +1,6 @@
-// Dense vector helpers over std::vector<double>. Deliberately free functions
-// instead of an expression-template vector class: every problem in this repo
-// is tiny (|N| <= a few dozen organizations), so clarity wins over BLAS.
+// The dense vector type of the math and game layers: a plain
+// std::vector<double>. Every problem in this repo is tiny (|N| <= a few
+// dozen organizations), so no vector class or BLAS sits behind it.
 #pragma once
 
 #include <vector>
@@ -8,26 +8,5 @@
 namespace tradefl::math {
 
 using Vec = std::vector<double>;
-
-Vec zeros(std::size_t n);
-Vec constant(std::size_t n, double value);
-
-double dot(const Vec& a, const Vec& b);
-double norm2(const Vec& a);
-double norm_inf(const Vec& a);
-double sum(const Vec& a);
-
-Vec add(const Vec& a, const Vec& b);
-Vec subtract(const Vec& a, const Vec& b);
-Vec scale(const Vec& a, double factor);
-
-/// a += factor * b
-void axpy(Vec& a, double factor, const Vec& b);
-
-/// Componentwise clamp into [lower, upper].
-Vec clamp(const Vec& a, const Vec& lower, const Vec& upper);
-
-/// Largest |a_i - b_i|.
-double max_abs_diff(const Vec& a, const Vec& b);
 
 }  // namespace tradefl::math

@@ -9,8 +9,8 @@
 
 #include "common/check.h"
 #include "math/grid.h"
-#include "math/matrix.h"
 #include "math/vec.h"
+#include "oracle_linalg.h"
 
 namespace tradefl::oracle {
 

@@ -17,7 +17,6 @@
 #include "core/gbd.h"
 #include "core/solution.h"
 #include "game/game.h"
-#include "math/matrix.h"
 #include "math/vec.h"
 
 namespace tradefl::oracle {

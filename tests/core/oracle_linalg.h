@@ -1,6 +1,9 @@
-// Small dense row-major matrix with two factorizations: LU with partial
-// pivoting for general systems and Cholesky (with diagonal regularization)
-// for SPD systems.
+// Dense linear algebra for the test-only reference log-barrier in
+// barrier_oracle.h: a small row-major matrix with a Cholesky solve (with
+// diagonal regularization) for SPD systems, and the vector helpers the
+// barrier's Newton loop uses. The library's exact KKT primal needs none of
+// this. Keep it unchanged: the PrimalOracle tolerances are calibrated against
+// the iterates it produces.
 #pragma once
 
 #include <vector>
@@ -9,12 +12,19 @@
 
 namespace tradefl::math {
 
+double dot(const Vec& a, const Vec& b);
+double norm_inf(const Vec& a);
+double sum(const Vec& a);
+Vec scale(const Vec& a, double factor);
+
+/// Componentwise clamp into [lower, upper].
+Vec clamp(const Vec& a, const Vec& lower, const Vec& upper);
+
 class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  static Matrix identity(std::size_t n);
   /// Rank-one matrix factor * v v^T (the Hessian shape of P(sum w_i d_i)).
   static Matrix outer(const Vec& v, double factor);
 
@@ -24,17 +34,9 @@ class Matrix {
   double& at(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   [[nodiscard]] double at(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
 
-  Matrix& add_in_place(const Matrix& other);
-  Matrix& add_diagonal(double value);
-  Matrix& add_diagonal(const Vec& values);
   [[nodiscard]] Matrix scaled(double factor) const;
-  [[nodiscard]] Matrix transposed() const;
 
   [[nodiscard]] Vec multiply(const Vec& x) const;
-  [[nodiscard]] Matrix multiply(const Matrix& other) const;
-
-  /// Solves A x = b via LU with partial pivoting. Throws on singularity.
-  [[nodiscard]] Vec solve(const Vec& b) const;
 
   /// Solves A x = b assuming A SPD via Cholesky; adds `ridge` * I to the
   /// diagonal before factoring (Newton damping). Throws std::runtime_error

@@ -1,4 +1,7 @@
-#include "math/matrix.h"
+// The reference barrier's linear algebra (oracle_linalg.h): the Cholesky
+// solve must match the textbook factorization bit for bit, since the
+// PrimalOracle tolerances are calibrated against the barrier it drives.
+#include "oracle_linalg.h"
 
 #include <gtest/gtest.h>
 
@@ -11,12 +14,33 @@
 namespace tradefl::math {
 namespace {
 
+TEST(Vec, DotAndNorms) {
+  const Vec a{1.0, 2.0, 3.0};
+  const Vec b{4.0, -5.0, 6.0};
+  EXPECT_DOUBLE_EQ(dot(a, b), 12.0);
+  EXPECT_DOUBLE_EQ(norm_inf({1.0, -7.0, 3.0}), 7.0);
+  EXPECT_DOUBLE_EQ(sum(a), 6.0);
+}
+
+TEST(Vec, Arithmetic) {
+  EXPECT_EQ(scale({1.0, 2.0}, 2.0), (Vec{2.0, 4.0}));
+}
+
+TEST(Vec, Clamp) {
+  const Vec x{-1.0, 0.5, 2.0};
+  EXPECT_EQ(clamp(x, Vec(3, 0.0), Vec(3, 1.0)), (Vec{0.0, 0.5, 1.0}));
+}
+
+TEST(Vec, SizeMismatchThrows) {
+  EXPECT_THROW(dot({1.0}, {1.0, 2.0}), std::invalid_argument);
+}
+
 /// The textbook Cholesky solve: a fresh factor copy, then separate y and x
 /// vectors. solve_spd must match it bit for bit.
 Vec reference_solve_spd(const Matrix& a, const Vec& b, double ridge) {
   const std::size_t n = a.rows();
   Matrix chol = a;
-  chol.add_diagonal(ridge);
+  for (std::size_t i = 0; i < n; ++i) chol.at(i, i) += ridge;
   for (std::size_t j = 0; j < n; ++j) {
     double diag = chol.at(j, j);
     for (std::size_t k = 0; k < j; ++k) diag -= chol.at(j, k) * chol.at(j, k);
@@ -54,13 +78,19 @@ Matrix random_spd(Rng& rng, std::size_t n, double shift) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) base.at(i, j) = rng.uniform(-1.0, 1.0);
   }
-  Matrix spd = base.multiply(base.transposed());
-  spd.add_diagonal(shift);
+  Matrix spd(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t k = 0; k < n; ++k) spd.at(i, j) += base.at(i, k) * base.at(j, k);
+    }
+    spd.at(i, i) += shift;
+  }
   return spd;
 }
 
 TEST(Matrix, IdentityMultiply) {
-  const Matrix eye = Matrix::identity(3);
+  Matrix eye(3, 3);
+  for (std::size_t i = 0; i < 3; ++i) eye.at(i, i) = 1.0;
   const Vec x{1.0, 2.0, 3.0};
   EXPECT_EQ(eye.multiply(x), x);
 }
@@ -71,64 +101,6 @@ TEST(Matrix, OuterProduct) {
   EXPECT_DOUBLE_EQ(m.at(0, 1), 6.0);
   EXPECT_DOUBLE_EQ(m.at(1, 0), 6.0);
   EXPECT_DOUBLE_EQ(m.at(1, 1), 12.0);
-}
-
-TEST(Matrix, Transpose) {
-  Matrix m(2, 3);
-  m.at(0, 2) = 5.0;
-  const Matrix t = m.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_DOUBLE_EQ(t.at(2, 0), 5.0);
-}
-
-TEST(Matrix, MatrixMultiply) {
-  Matrix a(2, 2);
-  a.at(0, 0) = 1;
-  a.at(0, 1) = 2;
-  a.at(1, 0) = 3;
-  a.at(1, 1) = 4;
-  const Matrix sq = a.multiply(a);
-  EXPECT_DOUBLE_EQ(sq.at(0, 0), 7.0);
-  EXPECT_DOUBLE_EQ(sq.at(0, 1), 10.0);
-  EXPECT_DOUBLE_EQ(sq.at(1, 0), 15.0);
-  EXPECT_DOUBLE_EQ(sq.at(1, 1), 22.0);
-}
-
-TEST(Matrix, SolveRandomSystem) {
-  tradefl::Rng rng(5);
-  const std::size_t n = 8;
-  Matrix a(n, n);
-  Vec x_true(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x_true[i] = rng.uniform(-2.0, 2.0);
-    for (std::size_t j = 0; j < n; ++j) a.at(i, j) = rng.uniform(-1.0, 1.0);
-    a.at(i, i) += 5.0;  // diagonally dominant => nonsingular
-  }
-  const Vec b = a.multiply(x_true);
-  const Vec x = a.solve(b);
-  EXPECT_LT(max_abs_diff(x, x_true), 1e-9);
-}
-
-TEST(Matrix, SolveSingularThrows) {
-  Matrix a(2, 2);  // all zeros
-  EXPECT_THROW(a.solve({1.0, 1.0}), std::runtime_error);
-}
-
-TEST(Matrix, SolveSpdMatchesLu) {
-  tradefl::Rng rng(9);
-  const std::size_t n = 6;
-  Matrix base(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) base.at(i, j) = rng.uniform(-1.0, 1.0);
-  }
-  // SPD via B B^T + I.
-  Matrix spd = base.multiply(base.transposed());
-  spd.add_diagonal(1.0);
-  Vec b(n);
-  for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-1.0, 1.0);
-  const Vec x_spd = spd.solve_spd(b);
-  const Vec x_lu = spd.solve(b);
-  EXPECT_LT(max_abs_diff(x_spd, x_lu), 1e-8);
 }
 
 TEST(Matrix, SolveSpdRejectsIndefinite) {
@@ -158,19 +130,11 @@ TEST(Matrix, SolveSpdBitIdenticalToReferenceCholesky) {
   }
 }
 
-TEST(Matrix, AddDiagonalVector) {
-  Matrix m(2, 2);
-  m.add_diagonal(Vec{1.0, 2.0});
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 1), 2.0);
-  EXPECT_THROW(m.add_diagonal(Vec{1.0}), std::invalid_argument);
-}
-
 TEST(Matrix, ShapeErrors) {
   Matrix m(2, 3);
   EXPECT_THROW(m.multiply(Vec{1.0}), std::invalid_argument);
-  EXPECT_THROW(m.solve(Vec{1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW((void)Matrix::identity(2).solve_spd(Vec{1.0}), std::invalid_argument);
+  EXPECT_THROW((void)m.solve_spd(Vec{1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW((void)Matrix(2, 2).solve_spd(Vec{1.0}), std::invalid_argument);
 }
 
 }  // namespace

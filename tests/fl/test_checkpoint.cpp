@@ -1,4 +1,4 @@
-// Resume bit-identity for the training pipelines: a run that checkpoints,
+// Resume bit-identity for FedAvg training: a run that checkpoints,
 // stops, and resumes must reproduce the uninterrupted run exactly — every
 // weight, every metric — at threads=1 and threads=4, with and without
 // injected faults. Corrupt or mismatched snapshots fail closed.
@@ -12,7 +12,6 @@
 
 #include "common/faults.h"
 #include "common/parallel.h"
-#include "fl/fedasync.h"
 #include "fl/fedavg.h"
 
 namespace tradefl::fl {
@@ -52,15 +51,6 @@ struct Fixture {
     }
     return out;
   }
-
-  std::vector<AsyncClient> async_clients(std::vector<double> latencies,
-                                         std::vector<double> fractions) {
-    std::vector<AsyncClient> out;
-    for (std::size_t i = 0; i < latencies.size(); ++i) {
-      out.push_back(AsyncClient{FedClient{&locals[i], fractions[i], 100 + i}, latencies[i]});
-    }
-    return out;
-  }
 };
 
 FedAvgOptions avg_options(std::size_t rounds) {
@@ -68,13 +58,6 @@ FedAvgOptions avg_options(std::size_t rounds) {
   options.rounds = rounds;
   options.local_epochs = 2;
   options.batch_size = 32;
-  return options;
-}
-
-FedAsyncOptions async_options(double horizon) {
-  FedAsyncOptions options;
-  options.horizon = horizon;
-  options.eval_every = 0;
   return options;
 }
 
@@ -100,23 +83,6 @@ void expect_same_fedavg(const FedAvgResult& a, const FedAvgResult& b) {
   ASSERT_EQ(a.history.size(), b.history.size());
   for (std::size_t i = 0; i < a.history.size(); ++i) {
     expect_same_metrics(a.history[i], b.history[i]);
-  }
-}
-
-void expect_same_fedasync(const FedAsyncResult& a, const FedAsyncResult& b) {
-  EXPECT_EQ(a.final_weights, b.final_weights);
-  EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-  EXPECT_EQ(a.final_loss, b.final_loss);
-  EXPECT_EQ(a.total_updates, b.total_updates);
-  EXPECT_EQ(a.total_dropped, b.total_dropped);
-  EXPECT_EQ(a.total_quarantined, b.total_quarantined);
-  EXPECT_EQ(a.total_delayed, b.total_delayed);
-  ASSERT_EQ(a.merges.size(), b.merges.size());
-  for (std::size_t i = 0; i < a.merges.size(); ++i) {
-    EXPECT_EQ(a.merges[i].time, b.merges[i].time) << "merge " << i;
-    EXPECT_EQ(a.merges[i].client_index, b.merges[i].client_index) << "merge " << i;
-    EXPECT_EQ(a.merges[i].staleness, b.merges[i].staleness) << "merge " << i;
-    EXPECT_EQ(a.merges[i].test_accuracy, b.merges[i].test_accuracy) << "merge " << i;
   }
 }
 
@@ -263,82 +229,6 @@ TEST(FedAvgCheckpoint, MissingSnapshotWithResumeIsColdStart) {
   const FedAvgResult plain = train_fedavg(
       fixture.model, fixture.clients({1.0, 1.0, 1.0}), fixture.test_set, avg_options(3));
   expect_same_fedavg(plain, cold);
-}
-
-TEST(FedAsyncCheckpoint, ResumedRunIsBitIdenticalToUninterrupted) {
-  Fixture fixture;
-  const std::vector<double> latencies{3.0, 5.0, 8.0};
-  const FedAsyncResult baseline =
-      train_fedasync(fixture.model, fixture.async_clients(latencies, {1.0, 1.0, 1.0}),
-                     fixture.test_set, async_options(40.0));
-
-  // Stop at horizon 20 with a checkpoint per event, then resume to 40: the
-  // snapshot carries the event queue, so the continuation replays exactly the
-  // events the uninterrupted run processed after t=20.
-  const std::string path = temp_path("fedasync_split.snap");
-  FedAsyncOptions first = async_options(20.0);
-  first.checkpoint_path = path;
-  (void)train_fedasync(fixture.model, fixture.async_clients(latencies, {1.0, 1.0, 1.0}),
-                       fixture.test_set, first);
-
-  FedAsyncOptions second = async_options(40.0);
-  second.checkpoint_path = path;
-  second.resume = true;
-  const FedAsyncResult resumed =
-      train_fedasync(fixture.model, fixture.async_clients(latencies, {1.0, 1.0, 1.0}),
-                     fixture.test_set, second);
-  expect_same_fedasync(baseline, resumed);
-  EXPECT_GT(baseline.total_updates, 4u);  // the split actually spanned events
-}
-
-TEST(FedAsyncCheckpoint, CorruptSnapshotFailsClosed) {
-  Fixture fixture;
-  const std::string path = temp_path("fedasync_corrupt.snap");
-  FedAsyncOptions options = async_options(15.0);
-  options.checkpoint_path = path;
-  (void)train_fedasync(fixture.model, fixture.async_clients({3.0, 5.0, 8.0}, {1.0, 1.0, 1.0}),
-                       fixture.test_set, options);
-
-  {  // truncate to half: typed snapshot.truncated surfaces as failed-closed
-    std::ifstream in(path, std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    in.close();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  }
-
-  options.resume = true;
-  try {
-    (void)train_fedasync(fixture.model,
-                         fixture.async_clients({3.0, 5.0, 8.0}, {1.0, 1.0, 1.0}),
-                         fixture.test_set, options);
-    FAIL() << "corrupt snapshot must not resume";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("failed closed"), std::string::npos)
-        << error.what();
-  }
-}
-
-TEST(FedAsyncCheckpoint, MismatchedConfigurationFailsClosed) {
-  Fixture fixture;
-  const std::string path = temp_path("fedasync_mismatch.snap");
-  FedAsyncOptions options = async_options(15.0);
-  options.checkpoint_path = path;
-  (void)train_fedasync(fixture.model, fixture.async_clients({3.0, 5.0, 8.0}, {1.0, 1.0, 1.0}),
-                       fixture.test_set, options);
-
-  options.resume = true;
-  options.shuffle_seed += 1;
-  try {
-    (void)train_fedasync(fixture.model,
-                         fixture.async_clients({3.0, 5.0, 8.0}, {1.0, 1.0, 1.0}),
-                         fixture.test_set, options);
-    FAIL() << "mismatched configuration must not resume";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("snapshot.mismatch"), std::string::npos)
-        << error.what();
-  }
 }
 
 }  // namespace

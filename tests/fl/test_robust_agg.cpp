@@ -211,18 +211,6 @@ TEST(RobustAggSemantics, RejectsDegenerateInput) {
                std::invalid_argument);
 }
 
-// ---- the shared ordered weighted-sum helper ----
-
-TEST(RobustAggHelper, OrderedWeightedMeanToleratesAliasing) {
-  std::vector<float> global = {1.0F, 2.0F, 3.0F};
-  const std::vector<float> local = {3.0F, 2.0F, 1.0F};
-  std::vector<float> expected(3);
-  ordered_weighted_mean({&global, &local}, {0.75, 0.25}, nullptr, expected);
-  // FedAsync's in-place merge: out aliases values[0].
-  ordered_weighted_mean({&global, &local}, {0.75, 0.25}, nullptr, global);
-  EXPECT_EQ(global, expected);
-}
-
 // ---- thread-count bit-identity (the repo-wide determinism contract) ----
 
 TEST(RobustAggDeterminism, EveryRuleIsThreadCountInvariant) {

@@ -69,8 +69,11 @@ TEST(Potential, PaperFormExactWhenNoRedistribution) {
 
 TEST(Potential, GradientMatchesFiniteDifference) {
   const auto game = make_default_game(5);
+  const math::Vec d(game.size(), 0.3);
   auto profile = game.minimal_profile();
-  for (OrgId i = 0; i < game.size(); ++i) profile[i].data_fraction = 0.3;
+  for (OrgId i = 0; i < game.size(); ++i) profile[i].data_fraction = d[i];
+  math::Vec gradient(game.size());
+  FixedFrequencyPotential(game, profile).gradient(d, gradient);
   const double h = 1e-7;
   for (OrgId i = 0; i < game.size(); ++i) {
     auto up = profile;
@@ -78,29 +81,8 @@ TEST(Potential, GradientMatchesFiniteDifference) {
     up[i].data_fraction += h;
     down[i].data_fraction -= h;
     const double fd = (potential(game, up) - potential(game, down)) / (2.0 * h);
-    EXPECT_NEAR(potential_gradient_d(game, profile, i), fd,
-                1e-4 * std::max(1.0, std::abs(fd)))
-        << "org " << i;
+    EXPECT_NEAR(gradient[i], fd, 1e-4 * std::max(1.0, std::abs(fd))) << "org " << i;
   }
-}
-
-TEST(Potential, HessianIsRankOneCurvature) {
-  const auto game = make_default_game(5);
-  auto profile = game.minimal_profile();
-  for (OrgId i = 0; i < game.size(); ++i) profile[i].data_fraction = 0.4;
-  const double h = 1e-5;
-  // Diagonal entry vs finite difference of the gradient.
-  auto up = profile;
-  auto down = profile;
-  up[0].data_fraction += h;
-  down[0].data_fraction -= h;
-  const double fd = (potential_gradient_d(game, up, 0) -
-                     potential_gradient_d(game, down, 0)) /
-                    (2.0 * h);
-  EXPECT_NEAR(potential_hessian_dd(game, profile, 0, 0), fd,
-              1e-3 * std::max(1.0, std::abs(fd)));
-  // Negative semidefinite rank-one structure: h_ij = P'' w_i w_j <= 0.
-  EXPECT_LE(potential_hessian_dd(game, profile, 0, 1), 0.0);
 }
 
 TEST(Potential, MaximizerBeatsNeighbors) {

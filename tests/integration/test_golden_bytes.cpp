@@ -23,7 +23,6 @@
 #include "chain/web3.h"
 #include "common/snapshot.h"
 #include "core/gbd.h"
-#include "fl/fedasync.h"
 #include "fl/fedavg.h"
 #include "tradefl/server.h"
 #include "tradefl/session.h"
@@ -277,16 +276,6 @@ constexpr const char* kFedAvgHex =
     "000000000000050000000000000006000000000000000200000000000000000000000000d03f000000000000"
     "e83f02000000000000000000000000000000030000000000000029f51c97";
 constexpr std::uint32_t kFedAvgCrc = 0x971CF529u;
-constexpr const char* kFedAsyncHex =
-    "54464c53020000000b00000000000000666c2e6665646173796e631401000000000000020000000000000002"
-    "0000000000000017000000000000000200000001000000000000000000000000000440040000000000000002"
-    "000000000000000000803f000000bf020000000000000002000000000000000000803e0000003f0000000000"
-    "0000000200000000000000030000000000000001000000000000000b000000000000000c000000000000000d"
-    "000000000000000e0000000000000001000000000000000000000000000440000000000000f03f0100000000"
-    "0000000100000000000000000000000000f83f0000000000000000000000000000e03f000000000000e43f04"
-    "0000000000000001000000000000000200000000000000030000000000000004000000000000000500000000"
-    "000000be406f09";
-constexpr std::uint32_t kFedAsyncCrc = 0x096F40BEu;
 constexpr const char* kGbdHex =
     "54464c53010000000800000000000000636f72652e67626480010000000000000200000000000000eeffc000"
     "000000000300000000000000020000000000000001000000000000000000000000000000000000000000f83f"
@@ -448,31 +437,6 @@ TEST(GoldenBytes, FedAvgCheckpoint) {
   ASSERT_TRUE(fl::write_fedavg_checkpoint(path, state).ok());
   expect_golden_file(path, kFedAvgHex, kFedAvgCrc);
   ASSERT_TRUE(fl::read_fedavg_checkpoint(path).ok());
-}
-
-TEST(GoldenBytes, FedAsyncCheckpoint) {
-  fl::FedAsyncCheckpoint state;
-  state.client_count = 2;
-  state.weight_count = 2;
-  state.shuffle_seed = 23;
-  state.aggregator = sample_aggregator();
-  state.events_processed = 4;
-  state.global_weights = {1.0f, -0.5f};
-  state.pulled = {{0.25f, 0.5f}, {}};
-  state.update_counts = {3, 1};
-  state.shuffle_rng = {11, 12, 13, 14};
-  state.queue = {fl::PendingUpdate{2.5, 1.0, 1}};
-  state.partial.merges = {fl::AsyncMerge{1.5, 0, 0.5, 0.625}};
-  state.partial.total_updates = 4;
-  state.partial.total_dropped = 1;
-  state.partial.total_quarantined = 2;
-  state.partial.total_delayed = 3;
-  state.partial.total_attacked = 4;
-  state.partial.total_clipped = 5;
-  const std::string path = temp_path("fedasync.snap");
-  ASSERT_TRUE(fl::write_fedasync_checkpoint(path, state).ok());
-  expect_golden_file(path, kFedAsyncHex, kFedAsyncCrc);
-  ASSERT_TRUE(fl::read_fedasync_checkpoint(path).ok());
 }
 
 TEST(GoldenBytes, GbdCheckpoint) {

@@ -217,19 +217,19 @@ if [ "$run_sanitizers" -eq 1 ]; then
 
   echo "=== ci: byzantine-chaos suite (asan-ubsan) ==="
   # Byzantine-resilience gate: robust aggregation semantics and determinism,
-  # adversarial fault kinds in FedAvg/FedAsync, the strategic-deviation audit,
+  # adversarial fault kinds in FedAvg, the strategic-deviation audit,
   # and the mid-attack checkpoint/resume contract — then one real CLI session
   # under a mixed attack plan with a robust rule, end to end through
   # parse_fault_plan, training, the audit, and on-chain settlement.
   ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
-        -R 'Byzantine|RobustAgg|FedAvgFaults|FedAsyncRobust|DeviationAudit'
+        -R 'Byzantine|RobustAgg|FedAvgFaults|DeviationAudit'
   ./build-asan-ubsan/tools/tradefl session orgs=4 seed=3 train=1 rounds=2 \
       sample_scale=0.12 agg=trimmed:1 faults=seed:11,signflip:1,freeride:1 \
       > /dev/null
 
   echo "=== ci: kill-and-resume suite (asan-ubsan) ==="
   # Durability gate: snapshot corruption fails closed, the chain WAL replays
-  # torn tails, FedAvg/FedAsync/CGBD/session resume bit-identically, and the
+  # torn tails, FedAvg/CGBD/session resume bit-identically, and the
   # real CLI binary survives injected crashes and a genuine SIGKILL.
   ctest --test-dir build-asan-ubsan --output-on-failure -j "$jobs" \
         -R 'KillResume|Snapshot|ChainWal|ChainState|Checkpoint|Session\.C'
